@@ -1,5 +1,5 @@
-//! Concurrency benchmarks: the lock-striped [`ShardedBuffer`] against the
-//! coarse-mutex [`SharedBuffer`] on the same skewed page-access trace.
+//! Concurrency benchmarks: the lock-striped [`ShardedBuffer`] against a
+//! one-shard pool (a single mutex) on the same skewed page-access trace.
 //!
 //! Two views of the same experiment:
 //!
@@ -13,7 +13,7 @@
 //! on machines that cannot overlap 4 threads (or on `--test` smoke runs)
 //! it prints an explicit `skipped: ...` line instead of silently passing.
 
-use asb_core::{PolicyKind, ShardedBuffer, SharedBuffer};
+use asb_core::{PolicyKind, ShardedBuffer};
 use asb_geom::{Rect, SpatialStats};
 use asb_storage::{AccessContext, DiskManager, PageId, PageMeta, PageStore, QueryId};
 use bytes::Bytes;
@@ -125,10 +125,7 @@ fn scaling_table(c: &mut Criterion) {
         let mut base = None;
         for threads in [1usize, 2, 4, 8] {
             let (disk, _) = fresh_disk();
-            let pool = SharedBuffer::new(
-                disk,
-                asb_core::BufferManager::with_policy(PolicyKind::Lru, CAPACITY),
-            );
+            let pool = ShardedBuffer::new(disk, PolicyKind::Lru, CAPACITY, 1);
             let elapsed = drain(&accesses, threads, |id, ctx| {
                 std::hint::black_box(pool.fetch(id, ctx).expect("read"));
             });
@@ -208,10 +205,7 @@ fn scaling_table(c: &mut Criterion) {
     }
     for (name, threads) in [("shared_mutex_lru_1t", 1usize), ("shared_mutex_lru_4t", 4)] {
         let (disk, _) = fresh_disk();
-        let pool = SharedBuffer::new(
-            disk,
-            asb_core::BufferManager::with_policy(PolicyKind::Lru, CAPACITY),
-        );
+        let pool = ShardedBuffer::new(disk, PolicyKind::Lru, CAPACITY, 1);
         group.bench_function(name, |b| {
             b.iter(|| {
                 drain(&accesses, threads, |id, ctx| {

@@ -23,10 +23,10 @@
 //!
 //! [`BufferManager`] owns the page table and statistics and delegates every
 //! ordering decision to a [`ReplacementPolicy`]. It does not talk to a disk
-//! itself; [`BufferManager::fetch`] composes it with any
-//! [`PageStore`](asb_storage::PageStore), and [`BufferedStore`] packages the
-//! pair back up as a `PageStore`, so index structures are oblivious to
-//! buffering. Reads hand out RAII [`PageReadGuard`]s — the guard pins the
+//! itself: each read and write takes the backing store as a [`StoreIo`],
+//! which every [`PageStore`](asb_storage::PageStore) is, one method per
+//! operation. Index structures hold their store plus an optional buffer.
+//! Reads hand out RAII [`PageReadGuard`]s — the guard pins the
 //! frame until dropped, and no raw `Page`-by-value read path exists.
 //! Writes come in write-through and write-back (buffered) flavours; with a
 //! write-ahead log attached, buffered writes are crash-durable and dirty
@@ -34,18 +34,15 @@
 //!
 //! ## Concurrency
 //!
-//! Two thread-safe pools wrap the same `BufferManager` machinery and share
-//! one trait surface, [`BufferPool`]:
-//!
-//! * [`concurrent::SharedBuffer`] — one coarse mutex around store + buffer;
-//!   simplest, exactly serialized.
-//! * [`ShardedBuffer`] — the pool is striped over independently locked
-//!   shards (deterministic page-id hashing), the store sits behind a
-//!   reader-writer lock and is only read-locked on misses; concurrent
-//!   misses on the same page are coalesced into one store read
-//!   (single-flight). With one shard and one thread it reproduces the
-//!   sequential buffer's counts exactly; with many shards, hits and misses
-//!   in different shards proceed in parallel.
+//! One thread-safe pool, [`ShardedBuffer`], wraps the `BufferManager`
+//! machinery behind the object-safe [`BufferPool`] trait. The pool is
+//! striped over independently locked shards (deterministic page-id
+//! hashing); the store sits behind a reader-writer lock and is only
+//! read-locked on misses, and concurrent misses on the same page are
+//! coalesced into one store read (single-flight). With one shard it is the
+//! coarse-locked pool, and a single-threaded trace reproduces the
+//! sequential buffer's counts exactly; with many shards, hits and misses in
+//! different shards proceed in parallel.
 //!
 //! A watermark-driven background [`Flusher`] drains dirty frames ahead of
 //! eviction pressure, keeping the next checkpoint's redo horizon short.
@@ -53,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
 mod flusher;
 mod guard;
 mod manager;
@@ -64,10 +60,9 @@ mod pool;
 pub mod sharded;
 pub mod sync;
 
-pub use concurrent::SharedBuffer;
 pub use flusher::{Flusher, FlusherConfig, FlusherHandle, FlusherStats};
 pub use guard::{PageReadGuard, PageWriteGuard};
-pub use manager::{BufferManager, BufferStats, BufferedStore, StoreIo};
+pub use manager::{BufferManager, BufferStats, StoreIo};
 pub use policies::{
     ArenaParams, ArenaPolicy, ArenaState, AsbParams, AsbPolicy, ClockPolicy, ExpertState,
     FifoPolicy, LruKPolicy, LruPolicy, LruPriorityPolicy, LruTypePolicy, RandomPolicy, Roster,

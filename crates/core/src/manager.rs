@@ -121,11 +121,9 @@ impl std::iter::Sum for BufferStats {
 /// The I/O surface a [`BufferManager`] needs from its backing store: fetch a
 /// page on a miss, write a page back on a dirty eviction or flush.
 ///
-/// Every [`PageStore`] is a `StoreIo`; the sharded pool supplies an adapter
-/// that takes its store lock per operation, and closure-based read paths
-/// (see [`BufferManager::fetch_with`]) use a fetch-only adapter whose
-/// write-backs fail with
-/// [`StorageError::WritebackUnavailable`].
+/// Every [`PageStore`] is a `StoreIo`, so every read and write method of
+/// the manager takes either a plain store or the sharded pool's adapter,
+/// which takes its store lock per operation.
 pub trait StoreIo {
     /// Fetches a page from the backing store.
     fn fetch(&mut self, id: PageId, ctx: AccessContext) -> Result<Page>;
@@ -141,19 +139,6 @@ impl<S: PageStore> StoreIo for S {
 
     fn store(&mut self, page: &Page) -> Result<()> {
         self.write(page.clone())
-    }
-}
-
-/// Fetch-only [`StoreIo`] over a closure; write-backs are unavailable.
-struct FetchIo<F>(F);
-
-impl<F: FnMut(PageId, AccessContext) -> Result<Page>> StoreIo for FetchIo<F> {
-    fn fetch(&mut self, id: PageId, ctx: AccessContext) -> Result<Page> {
-        (self.0)(id, ctx)
-    }
-
-    fn store(&mut self, page: &Page) -> Result<()> {
-        Err(StorageError::WritebackUnavailable(page.id))
     }
 }
 
@@ -213,20 +198,6 @@ pub(crate) fn fetch_page_with_retry<IO: StoreIo + ?Sized>(
     }
 }
 
-/// A [`StoreIo`] with no store at all, for admitting pages that already
-/// exist in the backing store (two-phase allocation).
-struct NoWriteback;
-
-impl StoreIo for NoWriteback {
-    fn fetch(&mut self, id: PageId, _ctx: AccessContext) -> Result<Page> {
-        Err(StorageError::PageNotFound(id))
-    }
-
-    fn store(&mut self, page: &Page) -> Result<()> {
-        Err(StorageError::WritebackUnavailable(page.id))
-    }
-}
-
 struct Frame {
     page: Page,
     /// Pin count, shared with every live [`PageReadGuard`] on this frame.
@@ -246,10 +217,9 @@ struct Frame {
 /// A buffer (page cache) of fixed capacity with a pluggable replacement
 /// policy.
 ///
-/// The manager does not own a disk; compose it with any
-/// [`PageStore`] via [`fetch`](BufferManager::fetch) /
-/// [`write_through`](BufferManager::write_through), or wrap the pair in a
-/// [`BufferedStore`]. Reads hand out RAII [`PageReadGuard`]s: the guard
+/// The manager does not own a disk; every read and write takes the
+/// backing store as an argument: any [`PageStore`], or any other
+/// [`StoreIo`]. Reads hand out RAII [`PageReadGuard`]s: the guard
 /// pins the frame (excluding it from eviction) until dropped, and derefs
 /// to the page. Writes come in two flavours:
 /// [`write_through`](BufferManager::write_through) updates the store
@@ -589,20 +559,6 @@ impl BufferManager {
         self.admit_fetched(page, ctx, io)
     }
 
-    /// [`fetch`](BufferManager::fetch) for callers that only have a fetch
-    /// closure. A transient closure failure is retried (the closure may be
-    /// called several times), but dirty evictions fail with
-    /// [`StorageError::WritebackUnavailable`] on this path because there
-    /// is nowhere to write to.
-    pub fn fetch_with(
-        &mut self,
-        id: PageId,
-        ctx: AccessContext,
-        fetch: impl FnMut(PageId, AccessContext) -> Result<Page>,
-    ) -> Result<PageReadGuard> {
-        self.fetch(&mut FetchIo(fetch), id, ctx)
-    }
-
     /// First half of a read: records the access and serves a hit from the
     /// resident frame, or counts the miss and returns `None` (a corrupt
     /// resident copy is discarded and becomes a counted miss). The sharded
@@ -728,22 +684,6 @@ impl BufferManager {
         self.stats.give_ups += 1;
     }
 
-    /// The post-probe miss path of [`fetch`](BufferManager::fetch): the
-    /// retrying store read plus admission, with the miss itself already
-    /// counted by [`probe`](BufferManager::probe). Batched pools probe a
-    /// whole batch under one lock acquisition and then resolve the misses
-    /// through this, so batched accounting is indistinguishable from the
-    /// sequential path's.
-    pub(crate) fn fetch_missed<IO: StoreIo + ?Sized>(
-        &mut self,
-        io: &mut IO,
-        id: PageId,
-        ctx: AccessContext,
-    ) -> Result<PageReadGuard> {
-        let page = self.fetch_with_retry(io, id, ctx)?;
-        self.admit_fetched(page, ctx, io)
-    }
-
     /// Fetches `id`, retrying transient failures (including checksum
     /// mismatches of the delivered copy) under the retry policy.
     fn fetch_with_retry<IO: StoreIo + ?Sized>(
@@ -789,14 +729,9 @@ impl BufferManager {
     /// Writes a page through the buffer: the underlying store is updated,
     /// and a resident copy (if any) is refreshed along with the policy's
     /// view of the page's metadata. Transient write faults are retried.
-    pub fn write_through<S: PageStore>(&mut self, inner: &mut S, page: Page) -> Result<()> {
-        self.write_via(inner, page)
-    }
-
-    /// [`write_through`](BufferManager::write_through) via an explicit
-    /// [`StoreIo`]. With a WAL attached the page image is logged before
-    /// the store write, so a torn store write is repairable by redo.
-    pub fn write_via<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, page: Page) -> Result<()> {
+    /// With a WAL attached the page image is logged before the store
+    /// write, so a torn store write is repairable by redo.
+    pub fn write_through<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, page: Page) -> Result<()> {
         self.wal_append(&page)?;
         self.store_with_retry(io, &page)?;
         if let Some(frame) = self.frames.get_mut(&page.id) {
@@ -813,21 +748,11 @@ impl BufferManager {
     ///
     /// The frame is marked dirty; evicting it later performs the write-back,
     /// and a failed write-back leaves the page resident (see
-    /// [`BufferStats::failed_evictions`]).
-    pub fn write_buffered<S: PageStore>(&mut self, inner: &mut S, page: Page) -> Result<()> {
-        self.write_buffered_via(inner, page)
-    }
-
-    /// [`write_buffered`](BufferManager::write_buffered) via an explicit
-    /// [`StoreIo`] (only used if admission must evict). With a WAL
-    /// attached the page image is appended *before* the frame is dirtied
-    /// (WAL-before-write-back): the append is the commit point, and a
-    /// crash any time after it cannot lose the update.
-    pub fn write_buffered_via<IO: StoreIo + ?Sized>(
-        &mut self,
-        io: &mut IO,
-        page: Page,
-    ) -> Result<()> {
+    /// [`BufferStats::failed_evictions`]). `io` is only used if admission
+    /// must evict. With a WAL attached the page image is appended *before*
+    /// the frame is dirtied (WAL-before-write-back): the append is the
+    /// commit point, and a crash any time after it cannot lose the update.
+    pub fn write_buffered<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, page: Page) -> Result<()> {
         let lsn = self.wal_append(&page)?;
         if let Some(frame) = self.frames.get_mut(&page.id) {
             frame.page = page.clone();
@@ -855,12 +780,7 @@ impl BufferManager {
     /// dirty frame is attempted, failed ones stay resident and dirty, and
     /// the failures surface as one aggregated
     /// [`StorageError::FlushIncomplete`] naming every failed page.
-    pub fn flush<S: PageStore>(&mut self, inner: &mut S) -> Result<()> {
-        self.flush_via(inner)
-    }
-
-    /// [`flush`](BufferManager::flush) via an explicit [`StoreIo`].
-    pub fn flush_via<IO: StoreIo + ?Sized>(&mut self, io: &mut IO) -> Result<()> {
+    pub fn flush<IO: StoreIo + ?Sized>(&mut self, io: &mut IO) -> Result<()> {
         let mut dirty: Vec<PageId> = self
             .frames
             .iter()
@@ -899,11 +819,7 @@ impl BufferManager {
     /// back; failures aggregate to [`StorageError::FlushIncomplete`] after
     /// every selected frame was attempted, like
     /// [`flush`](BufferManager::flush).
-    pub fn flush_some_via<IO: StoreIo + ?Sized>(
-        &mut self,
-        io: &mut IO,
-        max: usize,
-    ) -> Result<usize> {
+    pub fn flush_some<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, max: usize) -> Result<usize> {
         let mut dirty: Vec<(bool, Option<Lsn>, PageId)> = self
             .frames
             .iter()
@@ -946,39 +862,18 @@ impl BufferManager {
         payload: Bytes,
     ) -> Result<PageId> {
         let id = inner.allocate(meta, payload.clone())?;
-        let page = Page::new(id, meta, payload)?;
-        self.tick += 1;
-        // The page is already durable in the store; if every frame is
-        // pinned it simply is not cached.
-        self.admit_or_overflow(page, AccessContext::default(), false, None, inner)?;
+        self.admit_allocated(Page::new(id, meta, payload)?, inner)?;
         Ok(id)
     }
 
-    /// Admits a page that was just allocated in the backing store.
-    ///
-    /// The sharded pool allocates under the store lock, releases it, and
-    /// then admits under the owning shard's lock — this is the second phase,
-    /// with accounting identical to [`allocate_through`]. If admission must
-    /// evict a *dirty* victim, this path fails with
-    /// [`StorageError::WritebackUnavailable`]; use
-    /// [`admit_allocated_via`](BufferManager::admit_allocated_via) when a
-    /// store is reachable.
-    ///
-    /// [`allocate_through`]: BufferManager::allocate_through
-    pub fn admit_allocated(&mut self, page: Page) -> Result<()> {
-        self.admit_allocated_via(page, &mut NoWriteback)
-    }
-
-    /// [`admit_allocated`](BufferManager::admit_allocated) via an explicit
-    /// [`StoreIo`] for dirty-victim write-backs.
-    pub fn admit_allocated_via<IO: StoreIo + ?Sized>(
-        &mut self,
-        page: Page,
-        io: &mut IO,
-    ) -> Result<()> {
+    /// Admits a page that was just allocated in the backing store; `io`
+    /// takes the write-back if admission evicts a dirty victim. The
+    /// sharded pool allocates under the store lock, releases it, and then
+    /// admits under the owning shard's lock.
+    pub fn admit_allocated<IO: StoreIo + ?Sized>(&mut self, page: Page, io: &mut IO) -> Result<()> {
         self.tick += 1;
-        // As in `allocate_through`: the store already holds the page, so a
-        // pin-saturated buffer skips caching rather than failing.
+        // The store already holds the page, so a pin-saturated buffer
+        // skips caching rather than failing.
         self.admit_or_overflow(page, AccessContext::default(), false, None, io)?;
         Ok(())
     }
@@ -1104,74 +999,6 @@ impl BufferManager {
     }
 }
 
-/// A [`PageStore`] that transparently routes reads and writes of an inner
-/// store through a [`BufferManager`].
-///
-/// This is what index structures hold: swapping buffering on or off (or
-/// swapping policies) never changes index code.
-#[derive(Debug)]
-pub struct BufferedStore<S: PageStore> {
-    inner: S,
-    buffer: BufferManager,
-}
-
-impl<S: PageStore> BufferedStore<S> {
-    /// Wraps `inner` with the given buffer.
-    pub fn new(inner: S, buffer: BufferManager) -> Self {
-        BufferedStore { inner, buffer }
-    }
-
-    /// The buffer manager.
-    pub fn buffer(&self) -> &BufferManager {
-        &self.buffer
-    }
-
-    /// Mutable access to the buffer manager.
-    pub fn buffer_mut(&mut self) -> &mut BufferManager {
-        &mut self.buffer
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped store (bypasses the buffer — callers
-    /// must [`BufferManager::invalidate`] any page they mutate this way).
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    /// Unwraps into the inner store and buffer.
-    pub fn into_parts(self) -> (S, BufferManager) {
-        (self.inner, self.buffer)
-    }
-}
-
-impl<S: PageStore> PageStore for BufferedStore<S> {
-    fn read(&mut self, id: PageId, ctx: AccessContext) -> Result<Page> {
-        self.buffer
-            .fetch(&mut self.inner, id, ctx)
-            .map(PageReadGuard::into_page)
-    }
-
-    fn write(&mut self, page: Page) -> Result<()> {
-        self.buffer.write_through(&mut self.inner, page)
-    }
-
-    fn allocate(&mut self, meta: PageMeta, payload: Bytes) -> Result<PageId> {
-        self.buffer.allocate_through(&mut self.inner, meta, payload)
-    }
-
-    fn free(&mut self, id: PageId) -> Result<()> {
-        self.buffer.free_through(&mut self.inner, id)
-    }
-
-    fn page_count(&self) -> usize {
-        self.inner.page_count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1198,6 +1025,32 @@ mod tests {
 
     fn ctx() -> AccessContext {
         AccessContext::default()
+    }
+
+    /// Fetch-only [`StoreIo`] over a closure; write-backs are unavailable.
+    struct FetchIo<F>(F);
+
+    impl<F: FnMut(PageId, AccessContext) -> Result<Page>> StoreIo for FetchIo<F> {
+        fn fetch(&mut self, id: PageId, ctx: AccessContext) -> Result<Page> {
+            (self.0)(id, ctx)
+        }
+
+        fn store(&mut self, page: &Page) -> Result<()> {
+            Err(StorageError::WritebackUnavailable(page.id))
+        }
+    }
+
+    impl BufferManager {
+        /// [`fetch`](BufferManager::fetch) over a fetch closure, so the
+        /// retry tests can script each store attempt.
+        fn fetch_with(
+            &mut self,
+            id: PageId,
+            ctx: AccessContext,
+            fetch: impl FnMut(PageId, AccessContext) -> Result<Page>,
+        ) -> Result<PageReadGuard> {
+            self.fetch(&mut FetchIo(fetch), id, ctx)
+        }
     }
 
     #[test]
@@ -1327,21 +1180,6 @@ mod tests {
         buf.fetch(&mut disk, id, ctx()).unwrap();
         assert_eq!(buf.stats().hits, 1);
         assert_eq!(disk.stats().reads, 0);
-    }
-
-    #[test]
-    fn buffered_store_is_transparent() {
-        let (mut disk, _, ids) = setup(1, 3);
-        let raw: Vec<Page> = ids
-            .iter()
-            .map(|&id| disk.read(id, ctx()).unwrap())
-            .collect();
-        let mut store = BufferedStore::new(disk, BufferManager::with_policy(PolicyKind::Lru, 2));
-        for (i, &id) in ids.iter().enumerate() {
-            let got = store.read(id, ctx()).unwrap();
-            assert_eq!(got, raw[i]);
-        }
-        assert_eq!(store.page_count(), 3);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The shared trait surface of the thread-safe buffer pools.
+//! The object-safe trait surface of the thread-safe buffer pool.
 //!
-//! [`SharedBuffer`](crate::SharedBuffer) (one coarse mutex) and
-//! [`ShardedBuffer`](crate::ShardedBuffer) (lock-striped) expose the same
-//! guard-based access API; [`BufferPool`] captures it so experiment
-//! drivers, examples and replay harnesses can be written once and run
-//! against either pool.
+//! [`ShardedBuffer`](crate::ShardedBuffer) implements [`BufferPool`], its
+//! guard-based access API, so experiment drivers, examples, the serving
+//! engine and wrappers that trace or instrument a pool can be written
+//! against the trait rather than the concrete type.
 
 use crate::guard::{PageReadGuard, PageWriteGuard};
 use crate::manager::BufferStats;
@@ -53,19 +52,16 @@ pub trait BufferPool {
 
     /// Reads a batch of pages, returning one *independent* result per id
     /// in input order: a failing page fails its own slot with a typed
-    /// [`PageError`] and never aborts its siblings. Implementations may
-    /// amortize locking across the batch (e.g. one shard-lock acquisition
-    /// for all resident pages of a shard), but the per-request accounting
-    /// must be indistinguishable from issuing the same `fetch_classified`
-    /// calls in input order.
-    fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult> {
-        ids.iter()
-            .map(|&id| {
-                self.fetch_classified(id, ctx)
-                    .map_err(|e| PageError::new(id, e))
-            })
-            .collect()
-    }
+    /// [`PageError`] and never aborts its siblings.
+    ///
+    /// The batch runs in two phases: probe and pin every first occurrence
+    /// of an id, then resolve the misses (and any repeated ids) in input
+    /// order. Because the probe phase pins its hits before any miss
+    /// admits, the accounting under eviction pressure can differ from
+    /// issuing the same `fetch_classified` calls in input order; see
+    /// [`ShardedBuffer::fetch_batch`](crate::ShardedBuffer::fetch_batch)
+    /// for a worked example.
+    fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult>;
 
     /// Serves `id` from buffer-resident state only: a hit pins and
     /// returns the frame; a miss is counted in the pool's statistics and
@@ -74,18 +70,13 @@ pub trait BufferPool {
     /// circuit breaker has declared the backing store unhealthy.
     fn fetch_resident(&self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard>;
 
-    /// Number of independently locked shards (1 for coarse-locked pools).
-    fn shard_count(&self) -> usize {
-        1
-    }
+    /// Number of independently locked shards.
+    fn shard_count(&self) -> usize;
 
-    /// The shard that serves `id` (always 0 for coarse-locked pools).
-    /// Batching front ends group page requests by shard so each group's
-    /// store latency can be charged to one simulated I/O channel.
-    fn shard_of(&self, id: PageId) -> usize {
-        let _ = id;
-        0
-    }
+    /// The shard that serves `id`. Batching front ends group page requests
+    /// by shard so each group's store latency can be charged to one
+    /// simulated I/O channel.
+    fn shard_of(&self, id: PageId) -> usize;
 
     /// Physical I/O statistics of the backing store, including its
     /// simulated-time clock (`IoStats::simulated_ms`). Latency harnesses
@@ -115,69 +106,10 @@ pub trait BufferPool {
     /// Drops every buffered page and resets buffer statistics.
     fn clear(&self);
 
-    /// Expert-arena snapshots, one per independently mixing unit: a
-    /// single entry for a coarse-locked pool, one entry per shard for a
-    /// striped pool. Entries are `None` for non-arena policies, so the
+    /// Expert-arena snapshots, one per shard (each shard mixes
+    /// independently). Entries are `None` for non-arena policies, so the
     /// result doubles as a "which shards mix?" probe.
     fn arena_states(&self) -> Vec<Option<ArenaState>>;
-}
-
-impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::SharedBuffer<S> {
-    fn fetch(&self, id: PageId, ctx: AccessContext) -> Result<PageReadGuard> {
-        crate::SharedBuffer::fetch(self, id, ctx)
-    }
-
-    fn fetch_classified(&self, id: PageId, ctx: AccessContext) -> Result<FetchOutcome> {
-        crate::SharedBuffer::fetch_classified(self, id, ctx)
-            .map(|(guard, hit)| FetchOutcome { guard, hit })
-    }
-
-    fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult> {
-        crate::SharedBuffer::fetch_batch(self, ids, ctx)
-            .into_iter()
-            .map(|slot| slot.map(|(guard, hit)| FetchOutcome { guard, hit }))
-            .collect()
-    }
-
-    fn fetch_resident(&self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard> {
-        crate::SharedBuffer::fetch_resident(self, id, ctx)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        crate::SharedBuffer::io_stats(self)
-    }
-
-    fn fetch_mut(&self, id: PageId, ctx: AccessContext) -> Result<PageWriteGuard> {
-        crate::SharedBuffer::fetch_mut(self, id, ctx)
-    }
-
-    fn flush(&self) -> Result<()> {
-        crate::SharedBuffer::flush(self)
-    }
-
-    fn stats(&self) -> BufferStats {
-        crate::SharedBuffer::stats(self)
-    }
-
-    fn dirty_count(&self) -> usize {
-        crate::SharedBuffer::dirty_count(self)
-    }
-
-    fn live_guards(&self) -> u64 {
-        crate::SharedBuffer::live_guards(self)
-    }
-
-    fn capacity(&self) -> usize {
-        crate::SharedBuffer::capacity(self)
-    }
-
-    fn clear(&self) {
-        crate::SharedBuffer::clear(self)
-    }
-
-    fn arena_states(&self) -> Vec<Option<ArenaState>> {
-        vec![crate::SharedBuffer::arena_state(self)]
-    }
 }
 
 impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::ShardedBuffer<S> {
@@ -249,14 +181,14 @@ impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::Sharde
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::BufferManager;
     use crate::policy::PolicyKind;
-    use crate::{ShardedBuffer, SharedBuffer};
+    use crate::ShardedBuffer;
     use asb_geom::SpatialStats;
     use asb_storage::{DiskManager, PageMeta, PageStore};
     use bytes::Bytes;
 
-    /// A driver written once against the trait, exercised over both pools.
+    /// A driver written once against the trait, exercised over a
+    /// coarse-locked (one-shard) and a striped pool.
     fn drive(pool: &dyn BufferPool, ids: &[PageId]) {
         for &id in ids {
             let guard = pool.fetch(id, AccessContext::default()).unwrap();
@@ -342,13 +274,46 @@ mod tests {
     }
 
     #[test]
-    fn both_pools_serve_the_same_trait_driver() {
-        let (disk, ids) = disk_with_pages(8);
-        let shared = SharedBuffer::new(disk, BufferManager::with_policy(PolicyKind::Lru, 8));
-        drive(&shared, &ids);
+    fn batch_probe_pins_hits_before_misses_admit() {
+        // LRU, one shard, two frames, B then X resident: B is the LRU page.
+        let warm = || {
+            let (disk, ids) = disk_with_pages(3);
+            let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 2, 1);
+            drop(pool.fetch(ids[1], AccessContext::default()).unwrap());
+            drop(pool.fetch(ids[2], AccessContext::default()).unwrap());
+            (pool, ids[0], ids[1], ids[2])
+        };
 
-        let (disk, ids) = disk_with_pages(8);
-        let sharded = ShardedBuffer::new(disk, PolicyKind::Lru, 8, 2);
-        drive(&sharded, &ids);
+        // Batched: the probe phase pins B as a hit, so A's admission must
+        // evict X.
+        let (pool, a, b, x) = warm();
+        let hits: Vec<bool> = pool
+            .fetch_batch(&[a, b], AccessContext::default())
+            .into_iter()
+            .map(|slot| slot.expect("healthy store").1)
+            .collect();
+        assert_eq!(hits, [false, true]);
+        assert!(pool.contains(b) && !pool.contains(x));
+
+        // Sequential: A evicts the least recent page, B, which then misses.
+        let (pool, a, b, _) = warm();
+        let hits: Vec<bool> = [a, b]
+            .iter()
+            .map(|&id| {
+                pool.fetch_classified(id, AccessContext::default())
+                    .expect("healthy store")
+                    .1
+            })
+            .collect();
+        assert_eq!(hits, [false, false]);
+    }
+
+    #[test]
+    fn one_and_two_shard_pools_serve_the_same_trait_driver() {
+        for shards in [1, 2] {
+            let (disk, ids) = disk_with_pages(8);
+            let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 8, shards);
+            drive(&pool, &ids);
+        }
     }
 }

@@ -1,8 +1,9 @@
-//! Lock-striped, parallel-serving buffer pool.
+//! Lock-striped, parallel-serving buffer pool — the crate's one
+//! thread-safe pool.
 //!
-//! [`SharedBuffer`](crate::concurrent::SharedBuffer) serializes every page
-//! request behind one mutex — correct, but a single hot lock. This module
-//! stripes the buffer across `N` independent *shards*: each shard owns its
+//! A single mutex around one buffer would serialize every page request,
+//! hits included. This module stripes the buffer across `N` independent
+//! *shards* (`N = 1` is the coarse-locked pool): each shard owns its
 //! own frame table, replacement policy and statistics, and a page id is
 //! deterministically routed to exactly one shard. Requests for pages in
 //! different shards proceed in parallel; the backing store sits behind a
@@ -103,7 +104,7 @@ struct ShardSink<S: ConcurrentPageStore> {
 impl<S: ConcurrentPageStore> WriteSink for ShardSink<S> {
     fn commit(&self, page: Page) -> Result<()> {
         let mut buf = self.inner.shards[self.shard].lock();
-        buf.write_buffered_via(&mut PoolIo(&self.inner.store), page)
+        buf.write_buffered(&mut PoolIo(&self.inner.store), page)
     }
 }
 
@@ -293,15 +294,21 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// [`PageError`] and never aborts its siblings (the partial-failure
     /// contract the serving layer's graceful degradation is built on).
     ///
-    /// Resident pages of a shard are probed under a single shard-lock
-    /// acquisition; the misses then run through the normal single-flight
-    /// path. Accounting is indistinguishable from issuing the same
-    /// [`fetch_classified`](ShardedBuffer::fetch_classified) calls in
-    /// input order: each id is probed exactly once, and an id repeated
-    /// within the batch is deferred until its first occurrence has
-    /// resolved (so the repeat classifies as the hit it would have been
-    /// sequentially; a repeat of a failed id re-attempts and accrues its
-    /// own accounting, exactly as back-to-back sequential fetches would).
+    /// The batch runs in two phases. First every first occurrence of an
+    /// id is probed, one shard-lock acquisition per shard, and each hit
+    /// is pinned. Then the misses resolve in input order through the
+    /// normal single-flight path. An id repeated within the batch is
+    /// deferred to the second phase and resolves like
+    /// [`fetch_classified`](ShardedBuffer::fetch_classified), so it sees
+    /// its first occurrence's admission (and a repeat of a failed id
+    /// re-attempts with its own accounting).
+    ///
+    /// This is **not** the same as issuing the `fetch_classified` calls in
+    /// input order once the pool is under eviction pressure: a page the
+    /// probe phase pinned cannot be evicted by a miss earlier in the
+    /// batch. With LRU, one shard, capacity 2 and `B` then `X` resident,
+    /// the batch `[A, B]` classifies `[miss, hit]` (A evicts X), while
+    /// sequential calls give `[miss, miss]` (A evicts B).
     pub fn fetch_batch(
         &self,
         ids: &[PageId],
@@ -474,14 +481,14 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// under the exclusive lock, any resident copy is refreshed).
     pub fn write(&self, page: Page) -> Result<()> {
         let mut shard = self.inner.shards[self.shard_of(page.id)].lock();
-        shard.write_via(&mut PoolIo(&self.inner.store), page)
+        shard.write_through(&mut PoolIo(&self.inner.store), page)
     }
 
     /// Writes a page into its shard only, deferring the store write to
     /// eviction or [`flush`](ShardedBuffer::flush) (write-back caching).
     pub fn write_buffered(&self, page: Page) -> Result<()> {
         let mut shard = self.inner.shards[self.shard_of(page.id)].lock();
-        shard.write_buffered_via(&mut PoolIo(&self.inner.store), page)
+        shard.write_buffered(&mut PoolIo(&self.inner.store), page)
     }
 
     /// Writes every dirty frame in every shard back to the store. Every
@@ -492,7 +499,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     pub fn flush(&self) -> Result<()> {
         let mut failures = Vec::new();
         for shard in &self.inner.shards {
-            match shard.lock().flush_via(&mut PoolIo(&self.inner.store)) {
+            match shard.lock().flush(&mut PoolIo(&self.inner.store)) {
                 Ok(()) => {}
                 Err(StorageError::FlushIncomplete { failures: f }) => failures.extend(f),
                 Err(e) => return Err(e),
@@ -507,7 +514,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
 
     /// Writes back at most `max` dirty frames pool-wide, visiting shards
     /// in index order and draining each shard's oldest redo horizons first
-    /// (see `BufferManager::flush_some_via`). The background
+    /// (see `BufferManager::flush_some`). The background
     /// [`Flusher`](crate::Flusher) calls this in bounded batches so no
     /// shard lock is held for a long scan. Returns the number written
     /// back; per-page failures aggregate into
@@ -522,7 +529,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             }
             match shard
                 .lock()
-                .flush_some_via(&mut PoolIo(&self.inner.store), remaining)
+                .flush_some(&mut PoolIo(&self.inner.store), remaining)
             {
                 Ok(n) => {
                     flushed += n;
@@ -624,7 +631,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         // lock-order-ok: the store write lock is a temporary released at
         // the end of the allocate statement; see the two-phase doc above.
         let mut shard = self.inner.shards[self.shard_of(id)].lock();
-        shard.admit_allocated_via(page, &mut PoolIo(&self.inner.store))?;
+        shard.admit_allocated(page, &mut PoolIo(&self.inner.store))?;
         Ok(id)
     }
 
@@ -871,6 +878,103 @@ mod tests {
 
         assert_eq!(pool.stats(), sequential.stats());
         assert_eq!(pool.io_stats().reads, disk_a.stats().reads);
+    }
+
+    /// The two-phase batch replayed over a plain [`BufferManager`]: probe
+    /// every first occurrence, then fetch and admit the misses and resolve
+    /// the repeats in input order. Every guard lives until the batch is
+    /// done, as in a pool batch. Returns the per-slot hit flags.
+    fn replay_batch(
+        buf: &mut BufferManager,
+        disk: &mut DiskManager,
+        ids: &[PageId],
+        ctx: AccessContext,
+    ) -> Vec<bool> {
+        let mut seen = std::collections::HashSet::new();
+        let first: Vec<bool> = ids.iter().map(|&id| seen.insert(id)).collect();
+        let mut guards: Vec<Option<PageReadGuard>> = (0..ids.len())
+            .map(|i| first[i].then(|| buf.probe(ids[i], ctx)).flatten())
+            .collect();
+        let mut hits: Vec<bool> = guards.iter().map(Option::is_some).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            if hits[i] {
+                continue;
+            }
+            let before = buf.stats().hits;
+            guards[i] = Some(if first[i] {
+                let (page, effort) = fetch_page_with_retry(disk, buf.retry_policy(), id, ctx);
+                buf.apply_fetch_effort(effort);
+                buf.admit_fetched(page.unwrap(), ctx, disk).unwrap()
+            } else {
+                buf.fetch(disk, id, ctx).unwrap()
+            });
+            hits[i] = buf.stats().hits > before;
+        }
+        hits
+    }
+
+    #[test]
+    fn single_shard_batches_match_the_reference_replay_for_every_policy() {
+        use crate::policies::{ArenaParams, AsbParams};
+        use asb_geom::{Rect, SpatialCriterion};
+        let build = || {
+            let mut d = DiskManager::new();
+            let ids: Vec<PageId> = (0..48u8)
+                .map(|i| {
+                    let side = 1.0 + f64::from(i % 11);
+                    let stats = SpatialStats::from_rects(&[Rect::new(0.0, 0.0, side, side)]);
+                    d.allocate(PageMeta::data(stats), Bytes::from(vec![i]))
+                        .unwrap()
+                })
+                .collect();
+            (d, ids)
+        };
+        let area = SpatialCriterion::Area;
+        let policies = [
+            PolicyKind::Lru,
+            PolicyKind::Fifo,
+            PolicyKind::Clock,
+            PolicyKind::Random { seed: 7 },
+            PolicyKind::LruT,
+            PolicyKind::LruP,
+            PolicyKind::TwoQ,
+            PolicyKind::LruK { k: 2 },
+            PolicyKind::Spatial(area),
+            PolicyKind::Slru {
+                candidate_fraction: 0.25,
+                criterion: area,
+            },
+            PolicyKind::Asb,
+            PolicyKind::AsbWith(AsbParams::default()),
+            PolicyKind::Arena,
+            PolicyKind::ArenaWith(ArenaParams::default()),
+        ];
+        for kind in policies {
+            // 48 pages through 12 frames in batches of 8 from a skewed
+            // trace: most batches evict, many hold a repeated id.
+            let (mut disk, ids) = build();
+            let mut reference = BufferManager::with_policy(kind, 12);
+            let pool = ShardedBuffer::new(build().0, kind, 12, 1);
+            let (mut repeats, mut evicting) = (0, 0);
+            for (n, batch) in trace(&ids, 800).chunks(8).enumerate() {
+                let batch: Vec<PageId> = batch.iter().map(|&(id, _)| id).collect();
+                let ctx = AccessContext::query(QueryId::new(n as u64));
+                let evictions = reference.stats().evictions;
+                let expected = replay_batch(&mut reference, &mut disk, &batch, ctx);
+                let got = pool.fetch_batch(&batch, ctx);
+                let got: Vec<bool> = got.into_iter().map(|slot| slot.unwrap().1).collect();
+                assert_eq!(got, expected, "{kind:?}: hit flags of batch {n}");
+                let distinct: std::collections::HashSet<_> = batch.iter().collect();
+                repeats += usize::from(distinct.len() < batch.len());
+                evicting += usize::from(reference.stats().evictions > evictions);
+            }
+            assert_eq!(pool.stats(), reference.stats(), "{kind:?}: final stats");
+            assert_eq!(pool.io_stats().reads, disk.stats().reads, "{kind:?}");
+            assert!(
+                repeats > 10 && evicting > 10,
+                "{kind:?}: {repeats}, {evicting}"
+            );
+        }
     }
 
     #[test]

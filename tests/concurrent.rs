@@ -1,8 +1,8 @@
-//! Multi-threaded integration tests for the shared buffer.
+//! Multi-threaded integration tests for the coarse-locked (one-shard)
+//! buffer pool.
 
-use asb::buffer::concurrent::SharedBuffer;
 use asb::buffer::sync::{AtomicU64, Ordering};
-use asb::buffer::{BufferManager, PolicyKind};
+use asb::buffer::{PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
 use asb::storage::{AccessContext, DiskManager, PageId, PageMeta, PageStore, QueryId};
 use bytes::Bytes;
@@ -29,7 +29,7 @@ fn concurrent_readers_see_consistent_pages() {
     // hits regardless of thread interleaving (a smaller buffer would make
     // the hit count schedule-dependent: 8 threads striding over 64 pages
     // is a cyclic scan, the classic zero-hit adversary).
-    let shared = SharedBuffer::new(disk, BufferManager::with_policy(PolicyKind::Asb, 64));
+    let shared = ShardedBuffer::new(disk, PolicyKind::Asb, 64, 1);
     let total = Arc::new(AtomicU64::new(0));
 
     crossbeam::scope(|scope| {
@@ -58,15 +58,17 @@ fn concurrent_readers_see_consistent_pages() {
     let stats = shared.stats();
     assert_eq!(stats.logical_reads, 8 * 250);
     assert_eq!(stats.hits + stats.misses, stats.logical_reads);
-    // At most one cold miss per page.
-    assert!(stats.misses <= 64);
-    assert!(stats.hits >= stats.logical_reads - 64);
+    // At most one store read per page, and nothing is ever evicted. Counted
+    // misses can exceed 64: a reader that joins another reader's in-flight
+    // fetch of the same cold page counts its own miss.
+    assert!(shared.io_stats().reads <= 64);
+    assert_eq!(stats.evictions, 0);
 }
 
 #[test]
 fn concurrent_writers_and_readers_stay_coherent() {
     let (disk, ids) = build_disk(32);
-    let shared = SharedBuffer::new(disk, BufferManager::with_policy(PolicyKind::Lru, 8));
+    let shared = ShardedBuffer::new(disk, PolicyKind::Lru, 8, 1);
 
     crossbeam::scope(|scope| {
         // Writers stamp pages with a marker byte; readers verify that any

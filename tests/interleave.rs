@@ -18,7 +18,7 @@
 //! failure printed by CI is reproducible locally, and the failing pick
 //! sequence is written to `target/schedule-artifacts/`.
 
-use asb::buffer::{BufferManager, Flusher, FlusherConfig, PolicyKind, ShardedBuffer, SharedBuffer};
+use asb::buffer::{Flusher, FlusherConfig, PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
 use asb::serve::{BreakerConfig, BreakerState, CircuitBreaker};
 use asb::storage::{
@@ -162,7 +162,7 @@ fn guard_balance_scenario() {
     let id = disk
         .allocate(meta(), Bytes::from_static(b"pinned"))
         .unwrap();
-    let shared = SharedBuffer::new(disk, BufferManager::with_policy(PolicyKind::Lru, 4));
+    let shared = ShardedBuffer::new(disk, PolicyKind::Lru, 4, 1);
     drop(shared.fetch(id, AccessContext::default()).unwrap()); // make the frame resident
 
     let handles: Vec<_> = (0..3)
@@ -174,7 +174,7 @@ fn guard_balance_scenario() {
                     assert_eq!(guard.payload.as_ref(), b"pinned");
                     // This thread's own guard is live, so the count the
                     // gate reports can never be below one.
-                    let err = s.with_parts(|_, _| ()).unwrap_err();
+                    let err = s.with_store(|_| ()).unwrap_err();
                     assert!(
                         matches!(err, StorageError::GuardsOutstanding(n) if n >= 1),
                         "direct store access must be refused while guards live: {err:?}"
@@ -193,7 +193,7 @@ fn guard_balance_scenario() {
         0,
         "guard count must return to exactly zero after balanced use"
     );
-    shared.with_parts(|_, _| ()).unwrap();
+    shared.with_store(|_| ()).unwrap();
 }
 
 #[test]
