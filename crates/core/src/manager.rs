@@ -3,12 +3,11 @@ use crate::policies::ArenaState;
 use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::sync::{AtomicU64, Ordering};
 use asb_storage::{
-    page_checksum, AccessContext, Lsn, Page, PageId, PageMeta, PageStore, Result, RetryPolicy,
-    SharedWal, StorageError,
+    page_checksum, AccessContext, Lsn, Page, PageId, PageIdMap, PageMeta, PageStore, Result,
+    RetryPolicy, SharedWal, StorageError,
 };
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Logical access statistics of a [`BufferManager`].
@@ -255,7 +254,7 @@ pub struct BufferManager {
     policy: Box<dyn ReplacementPolicy + Send>,
     kind: PolicyKind,
     capacity: usize,
-    frames: HashMap<PageId, Frame>,
+    frames: PageIdMap<Frame>,
     stats: BufferStats,
     tick: u64,
     retry: RetryPolicy,
@@ -298,7 +297,7 @@ impl BufferManager {
             policy: kind.build(capacity),
             kind,
             capacity,
-            frames: HashMap::with_capacity(capacity),
+            frames: PageIdMap::with_capacity_and_hasher(capacity, Default::default()),
             stats: BufferStats::default(),
             tick: 0,
             retry: RetryPolicy::default(),

@@ -4,8 +4,10 @@
 //! ids supporting O(1) insert-at-back, remove, move-to-back and
 //! pop-from-front. `LinkedOrder` implements it as an intrusive doubly-linked
 //! list over a slab (`Vec` of nodes with a free list) plus a
-//! `HashMap<K, slot>` index — no per-operation allocation after warm-up.
+//! `HashMap<K, slot>` index under the fixed [`PageIdBuildHasher`] — no
+//! per-operation allocation after warm-up.
 
+use asb_storage::PageIdBuildHasher;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -24,7 +26,7 @@ struct Node<K> {
 #[derive(Debug, Clone)]
 pub(crate) struct LinkedOrder<K: Eq + Hash + Copy> {
     nodes: Vec<Node<K>>,
-    index: HashMap<K, usize>,
+    index: HashMap<K, usize, PageIdBuildHasher>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
@@ -41,7 +43,7 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
     pub fn new() -> Self {
         LinkedOrder {
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,

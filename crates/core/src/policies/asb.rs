@@ -4,9 +4,8 @@
 use crate::order::LinkedOrder;
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId};
+use asb_storage::{AccessContext, Page, PageId, PageIdMap};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Tuning parameters of the [`AsbPolicy`].
 ///
@@ -77,7 +76,7 @@ pub struct AsbPolicy {
     main: LinkedOrder<PageId>,
     /// FIFO order of the overflow buffer (front = first in, next victim).
     overflow: LinkedOrder<PageId>,
-    info: HashMap<PageId, PageInfo>,
+    info: PageIdMap<PageInfo>,
 }
 
 impl AsbPolicy {
@@ -115,7 +114,7 @@ impl AsbPolicy {
             step,
             main: LinkedOrder::new(),
             overflow: LinkedOrder::new(),
-            info: HashMap::new(),
+            info: PageIdMap::default(),
         }
     }
 

@@ -2,8 +2,7 @@
 
 use crate::order::LinkedOrder;
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
-use asb_storage::{AccessContext, Page, PageId};
-use std::collections::HashMap;
+use asb_storage::{AccessContext, Page, PageId, PageIdMap};
 
 /// Least-recently-used replacement — the paper's baseline against which all
 /// gains are reported.
@@ -99,7 +98,7 @@ impl ReplacementPolicy for FifoPolicy {
 #[derive(Debug, Default)]
 pub struct ClockPolicy {
     order: LinkedOrder<PageId>,
-    referenced: HashMap<PageId, bool>,
+    referenced: PageIdMap<bool>,
 }
 
 impl ClockPolicy {
@@ -169,7 +168,7 @@ impl ReplacementPolicy for ClockPolicy {
 #[derive(Debug)]
 pub struct RandomPolicy {
     pages: Vec<PageId>,
-    index: HashMap<PageId, usize>,
+    index: PageIdMap<usize>,
     state: u64,
 }
 
@@ -178,7 +177,7 @@ impl RandomPolicy {
     pub fn new(seed: u64) -> Self {
         RandomPolicy {
             pages: Vec::new(),
-            index: HashMap::new(),
+            index: PageIdMap::default(),
             // xorshift must not start at zero.
             state: seed | 1,
         }

@@ -2,8 +2,8 @@
 //! (SIGMOD 1993), as recapped in Section 2.2 of the EDBT 2002 paper.
 
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
-use asb_storage::{AccessContext, Page, PageId, QueryId};
-use std::collections::{BTreeSet, HashMap};
+use asb_storage::{AccessContext, Page, PageId, PageIdMap, QueryId};
+use std::collections::BTreeSet;
 
 /// Reference history of one page: `HIST(p)` of the paper.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ struct Hist {
 #[derive(Debug)]
 pub struct LruKPolicy {
     k: usize,
-    history: HashMap<PageId, Hist>,
+    history: PageIdMap<Hist>,
     /// Resident pages in page-id order: the victim scan iterates this set,
     /// and a canonical order keeps full HIST ties (possible when a batched
     /// fetch admits several pages at one tick) deterministic across
@@ -51,7 +51,7 @@ impl LruKPolicy {
         assert!(k >= 1, "LRU-K requires K >= 1");
         LruKPolicy {
             k,
-            history: HashMap::new(),
+            history: PageIdMap::default(),
             resident: BTreeSet::new(),
         }
     }

@@ -2,8 +2,8 @@
 
 use crate::order::LinkedOrder;
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
-use asb_storage::{AccessContext, Page, PageId};
-use std::collections::{BTreeMap, HashMap};
+use asb_storage::{AccessContext, Page, PageId, PageIdMap};
+use std::collections::BTreeMap;
 
 /// Type-based LRU (**LRU-T**): "object pages would be dropped immediately
 /// from the buffer. Then, data pages would follow. Directory pages would be
@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 pub struct LruTypePolicy {
     // Index 0: object pages, 1: data pages, 2: directory pages.
     classes: [LinkedOrder<PageId>; 3],
-    rank_of: HashMap<PageId, u8>,
+    rank_of: PageIdMap<u8>,
 }
 
 impl LruTypePolicy {
@@ -82,7 +82,7 @@ impl ReplacementPolicy for LruTypePolicy {
 #[derive(Debug, Default)]
 pub struct LruPriorityPolicy {
     classes: BTreeMap<u8, LinkedOrder<PageId>>,
-    priority_of: HashMap<PageId, u8>,
+    priority_of: PageIdMap<u8>,
 }
 
 impl LruPriorityPolicy {

@@ -3,8 +3,7 @@
 use crate::order::LinkedOrder;
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId};
-use std::collections::HashMap;
+use asb_storage::{AccessContext, Page, PageId, PageIdMap};
 
 /// **SLRU**: "1.) compute a set of candidates by using LRU and 2.) select
 /// the page to be dropped out of the buffer from the candidate set by using
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 pub struct SlruPolicy {
     criterion: SpatialCriterion,
     candidate_count: usize,
-    crit: HashMap<PageId, f64>,
+    crit: PageIdMap<f64>,
     order: LinkedOrder<PageId>,
     label: String,
 }
@@ -39,7 +38,7 @@ impl SlruPolicy {
         SlruPolicy {
             criterion,
             candidate_count,
-            crit: HashMap::new(),
+            crit: PageIdMap::default(),
             order: LinkedOrder::new(),
             label: format!("SLRU {:.0}%", candidate_fraction * 100.0),
         }

@@ -3,8 +3,7 @@
 use crate::order::LinkedOrder;
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId};
-use std::collections::HashMap;
+use asb_storage::{AccessContext, Page, PageId, PageIdMap};
 
 /// Spatial page replacement: evict the page with the **smallest**
 /// `spatialCrit(p)` for the chosen criterion (A, EA, M, EM or EO); the LRU
@@ -15,7 +14,7 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct SpatialPolicy {
     criterion: SpatialCriterion,
-    crit: HashMap<PageId, f64>,
+    crit: PageIdMap<f64>,
     /// LRU order; iterating from the front visits least-recently-used pages
     /// first, which makes "first minimum found" the LRU tie-break.
     order: LinkedOrder<PageId>,
@@ -26,7 +25,7 @@ impl SpatialPolicy {
     pub fn new(criterion: SpatialCriterion) -> Self {
         SpatialPolicy {
             criterion,
-            crit: HashMap::new(),
+            crit: PageIdMap::default(),
             order: LinkedOrder::new(),
         }
     }

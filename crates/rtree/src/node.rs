@@ -3,7 +3,7 @@
 use crate::config::{DIR_ENTRY_SIZE, LEAF_ENTRY_SIZE};
 use asb_geom::{mbr_of, Rect, SpatialStats};
 use asb_storage::{Page, PageId, PageMeta, PageType, StorageError, PAGE_HEADER_SIZE};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// An entry of a directory (inner) node: the MBR of a child node plus its
 /// page id.
@@ -181,39 +181,37 @@ impl Node {
         buf.freeze()
     }
 
-    /// Decodes a node from a page.
+    /// Decodes a node from a page written by [`encode`](Node::encode).
+    ///
+    /// A payload shorter than the header, an unknown tag, a level that
+    /// does not fit the tag, or fewer entry bytes than the header's count
+    /// is a [`StorageError::Corrupt`], checked in that order.
     pub fn decode(page: &Page) -> Result<Node, StorageError> {
         let corrupt = |reason: &str| StorageError::Corrupt {
             id: page.id,
             reason: reason.to_string(),
         };
-        let mut buf = page.payload.clone();
-        if buf.remaining() < PAGE_HEADER_SIZE {
+        let Some((header, body)) = page.payload.split_first_chunk::<PAGE_HEADER_SIZE>() else {
             return Err(corrupt("payload shorter than the header"));
-        }
-        let tag = buf.get_u8();
-        let level = buf.get_u8();
-        let count = buf.get_u16_le() as usize;
-        let _reserved = buf.get_u32_le();
+        };
+        let [tag, level, count_lo, count_hi, ..] = *header;
+        let count = usize::from(u16::from_le_bytes([count_lo, count_hi]));
         match PageType::from_tag(tag) {
             Some(PageType::Data) => {
                 if level != 1 {
                     return Err(corrupt("data page with level != 1"));
                 }
-                if buf.remaining() < count * LEAF_ENTRY_SIZE {
+                let Some(body) = body.get(..count * LEAF_ENTRY_SIZE) else {
                     return Err(corrupt("truncated leaf entries"));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mbr = get_rect(&mut buf);
-                    let object_id = buf.get_u64_le();
-                    let object_page = buf.get_u64_le();
-                    entries.push(LeafEntry {
-                        mbr,
-                        object_id,
-                        object_page,
-                    });
-                }
+                };
+                let entries = body
+                    .chunks_exact(LEAF_ENTRY_SIZE)
+                    .map(|e| LeafEntry {
+                        mbr: rect_at(e),
+                        object_id: u64_at(e, 32),
+                        object_page: u64_at(e, 40),
+                    })
+                    .collect();
                 Ok(Node {
                     level: 1,
                     kind: NodeKind::Leaf(entries),
@@ -223,15 +221,16 @@ impl Node {
                 if level < 2 {
                     return Err(corrupt("directory page with level < 2"));
                 }
-                if buf.remaining() < count * DIR_ENTRY_SIZE {
+                let Some(body) = body.get(..count * DIR_ENTRY_SIZE) else {
                     return Err(corrupt("truncated directory entries"));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mbr = get_rect(&mut buf);
-                    let child = PageId::new(buf.get_u64_le());
-                    entries.push(DirEntry { mbr, child });
-                }
+                };
+                let entries = body
+                    .chunks_exact(DIR_ENTRY_SIZE)
+                    .map(|e| DirEntry {
+                        mbr: rect_at(e),
+                        child: PageId::new(u64_at(e, 32)),
+                    })
+                    .collect();
                 Ok(Node {
                     level,
                     kind: NodeKind::Dir(entries),
@@ -249,14 +248,22 @@ fn put_rect(buf: &mut BytesMut, r: &Rect) {
     buf.put_f64_le(r.max.y);
 }
 
-fn get_rect(buf: &mut Bytes) -> Rect {
-    let x0 = buf.get_f64_le();
-    let y0 = buf.get_f64_le();
-    let x1 = buf.get_f64_le();
-    let y1 = buf.get_f64_le();
+/// The little-endian `u64` at byte `at` of an entry.
+#[inline]
+fn u64_at(entry: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&entry[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
+/// The MBR stored in an entry's first 32 bytes (`x0, y0, x1, y1` as
+/// little-endian `f64`s).
+#[inline]
+fn rect_at(entry: &[u8]) -> Rect {
+    let f = |at| f64::from_bits(u64_at(entry, at));
     Rect {
-        min: asb_geom::Point::new(x0, y0),
-        max: asb_geom::Point::new(x1, y1),
+        min: asb_geom::Point::new(f(0), f(8)),
+        max: asb_geom::Point::new(f(16), f(24)),
     }
 }
 

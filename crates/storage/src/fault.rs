@@ -19,7 +19,7 @@ use bytes::Bytes;
 use crate::page::{Page, PageId};
 use crate::store::{AccessContext, ConcurrentPageStore, PageStore};
 use crate::sync::Mutex;
-use crate::{IoStats, PageMeta, StorageError};
+use crate::{splitmix64, IoStats, PageMeta, StorageError};
 
 /// Salts mixed into the per-operation hash so each fault kind draws an
 /// independent coin from the same operation index.
@@ -27,14 +27,6 @@ const SALT_READ: u64 = 1;
 const SALT_WRITE: u64 = 2;
 const SALT_CORRUPT: u64 = 3;
 const SALT_SPIKE: u64 = 4;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Map a 64-bit hash onto a float in `[0, 1)`.
 fn unit_float(x: u64) -> f64 {

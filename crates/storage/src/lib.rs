@@ -49,7 +49,10 @@ pub use disk::{DiskManager, DiskProfile, IoStats};
 pub use error::{PageError, StorageError};
 pub use fault::{FaultConfig, FaultStats, FaultyStore};
 pub use objects::{decode_object_page, ObjectRecord, ObjectStore};
-pub use page::{page_checksum, Page, PageId, PageMeta, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
+pub use page::{
+    page_checksum, splitmix64, Page, PageId, PageIdBuildHasher, PageIdHasher, PageIdMap, PageMeta,
+    PageType, PAGE_HEADER_SIZE, PAGE_SIZE,
+};
 pub use recording::RecordingStore;
 pub use retry::RetryPolicy;
 pub use scheduler::{FlightOutcome, FlightStats, SingleFlight};

@@ -23,8 +23,7 @@
 //! latch is private to the flight, so no cycle is possible.
 
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use crate::{Page, PageId, Result, StorageError};
-use std::collections::HashMap;
+use crate::{Page, PageId, PageIdMap, Result, StorageError};
 use std::sync::Arc;
 
 /// One in-flight fetch. `result` doubles as the completion latch: the
@@ -65,7 +64,7 @@ pub enum FlightOutcome<R> {
 /// is what guarantees "N concurrent readers, exactly one store read": any
 /// thread that misses after the flight retires finds the page resident.
 pub struct SingleFlight {
-    inflight: Mutex<HashMap<PageId, Arc<Flight>>>,
+    inflight: Mutex<PageIdMap<Arc<Flight>>>,
     led: AtomicU64,
     joined: AtomicU64,
 }
@@ -80,7 +79,7 @@ impl SingleFlight {
     /// Creates an empty scheduler.
     pub fn new() -> Self {
         SingleFlight {
-            inflight: Mutex::new(HashMap::new()),
+            inflight: Mutex::new(PageIdMap::default()),
             led: AtomicU64::new(0),
             joined: AtomicU64::new(0),
         }

@@ -18,13 +18,21 @@
 //!
 //! # Record format
 //!
-//! The log is a byte stream of length-prefixed, checksummed records:
+//! The log is a byte stream of length-prefixed, checksummed records
+//! (**frame checksum v2**):
 //!
 //! ```text
-//! [u32 payload_len][u64 fnv1a(payload)][payload bytes]
+//! [u32 payload_len][u64 page_checksum(payload)][payload bytes]
 //! ```
 //!
-//! all integers little-endian. The payload starts with a one-byte kind tag:
+//! all integers little-endian. The frame checksum is
+//! [`page_checksum`](crate::page_checksum), the same word-at-a-time hash
+//! that guards pages: a payload damaged inside one 8-byte word (any
+//! single-byte flip) never passes. Version 1 framed records with FNV-1a
+//! instead. The log carries no version field: the only WAL bytes ever
+//! persisted are the crash harness's diagnostic `wal-*.bin` dumps, which
+//! nothing reads back, so there is no older log to recognise. The payload
+//! starts with a one-byte kind tag:
 //!
 //! * `1` — **image**: `lsn:u64, page_id:u64, page_checksum:u64,
 //!   type_tag:u8, level:u8, entry_count:u32, area:f64, margin:f64,
@@ -35,7 +43,7 @@
 //!   (see below).
 //!
 //! A record whose length prefix overruns the log, or whose payload fails
-//! the FNV-1a checksum, is a **torn tail**: the process died mid-append.
+//! the frame checksum, is a **torn tail**: the process died mid-append.
 //! Recovery discards it and everything after it — a half-written record
 //! was never committed.
 //!
