@@ -97,7 +97,7 @@ fn scaling_table(c: &mut Criterion) {
         "configuration", "threads", "reads/s", "speedup"
     );
 
-    let mut shared_4t = 0.0f64;
+    let mut one_shard_4t = 0.0f64;
     let mut sharded_4t = 0.0f64;
     for policy in [PolicyKind::Lru, PolicyKind::Asb] {
         let mut base = None;
@@ -132,11 +132,11 @@ fn scaling_table(c: &mut Criterion) {
             let rate = throughput(len, elapsed);
             let base = *base.get_or_insert(rate);
             if threads == 4 {
-                shared_4t = rate;
+                one_shard_4t = rate;
             }
             println!(
                 "{:<26} {:>8} {:>14.0} {:>9.2}x",
-                "shared-mutex/LRU",
+                "1-shard/LRU",
                 threads,
                 rate,
                 rate / base
@@ -145,9 +145,9 @@ fn scaling_table(c: &mut Criterion) {
     }
 
     println!(
-        "4-thread LRU throughput: sharded {sharded_4t:.0}/s vs shared-mutex {shared_4t:.0}/s \
+        "4-thread LRU throughput: sharded {sharded_4t:.0}/s vs 1-shard {one_shard_4t:.0}/s \
          ({:.2}x)",
-        sharded_4t / shared_4t
+        sharded_4t / one_shard_4t
     );
 
     // Miss-path dedup: 8 threads hammer one cold page; the I/O scheduler
@@ -181,7 +181,7 @@ fn scaling_table(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     match asb_bench::scaling_gate(smoke, cores) {
         asb_bench::ScalingGate::Assert => assert!(
-            sharded_4t > shared_4t,
+            sharded_4t > one_shard_4t,
             "sharded pool must out-serve the coarse mutex at 4 threads"
         ),
         asb_bench::ScalingGate::Skip(reason) => {
@@ -203,7 +203,7 @@ fn scaling_table(c: &mut Criterion) {
             })
         });
     }
-    for (name, threads) in [("shared_mutex_lru_1t", 1usize), ("shared_mutex_lru_4t", 4)] {
+    for (name, threads) in [("one_shard_lru_1t", 1usize), ("one_shard_lru_4t", 4)] {
         let (disk, _) = fresh_disk();
         let pool = ShardedBuffer::new(disk, PolicyKind::Lru, CAPACITY, 1);
         group.bench_function(name, |b| {

@@ -1,4 +1,5 @@
-//! A doubly-linked recency/insertion order over hashable keys.
+//! A doubly-linked recency/insertion order over hashable keys, with a value
+//! per key.
 //!
 //! All replacement policies need the same primitive: an ordered set of page
 //! ids supporting O(1) insert-at-back, remove, move-to-back and
@@ -6,39 +7,59 @@
 //! list over a slab (`Vec` of nodes with a free list) plus a
 //! `HashMap<K, slot>` index under the fixed [`PageIdBuildHasher`] — no
 //! per-operation allocation after warm-up.
+//!
+//! Each slab node also holds the key's value `V` next to its links, so a
+//! policy keeps its per-page state (a spatial criterion, a last-access tick,
+//! a reference bit) in the order that already ranks the page: a walk over
+//! [`LinkedOrder::entries`] reads it without one hash lookup per page, and
+//! a touch is one lookup that both moves the node and hands out its value.
+//! Values are small `Copy` records; orders that need none use the default
+//! `V = ()`.
 
 use asb_storage::PageIdBuildHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
 
 #[derive(Debug, Clone)]
-struct Node<K> {
+struct Node<K, V> {
     key: K,
+    val: V,
     prev: usize,
     next: usize,
 }
 
-/// An ordered set with O(1) queue/recency operations.
+/// An ordered map with O(1) queue/recency operations.
 ///
 /// Front = oldest (LRU / FIFO victim side), back = newest (MRU side).
 #[derive(Debug, Clone)]
-pub(crate) struct LinkedOrder<K: Eq + Hash + Copy> {
-    nodes: Vec<Node<K>>,
+pub(crate) struct LinkedOrder<K: Eq + Hash + Copy, V = ()> {
+    /// Slab of nodes; a freed slot keeps its stale node until reused, but
+    /// only slots reachable from `index` (or the list links) are ever read.
+    nodes: Vec<Node<K, V>>,
     index: HashMap<K, usize, PageIdBuildHasher>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
 }
 
-impl<K: Eq + Hash + Copy> Default for LinkedOrder<K> {
+impl<K: Eq + Hash + Copy, V: Copy> Default for LinkedOrder<K, V> {
     fn default() -> Self {
         LinkedOrder::new()
     }
 }
 
 impl<K: Eq + Hash + Copy> LinkedOrder<K> {
+    /// Appends `key` at the back (newest). Returns `false` (and does
+    /// nothing) if the key is already present.
+    pub fn push_back(&mut self, key: K) -> bool {
+        self.push_back_with(key, ())
+    }
+}
+
+impl<K: Eq + Hash + Copy, V: Copy> LinkedOrder<K, V> {
     /// Creates an empty order.
     pub fn new() -> Self {
         LinkedOrder {
@@ -65,24 +86,31 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
         self.index.contains_key(key)
     }
 
-    /// Appends `key` at the back (newest). Returns `false` (and does
-    /// nothing) if the key is already present.
-    pub fn push_back(&mut self, key: K) -> bool {
-        if self.index.contains_key(&key) {
+    /// Appends `key` with `val` at the back (newest). Returns `false` (and
+    /// drops `val`, leaving the present entry as it was) if the key is
+    /// already present.
+    pub fn push_back_with(&mut self, key: K, val: V) -> bool {
+        let Entry::Vacant(entry) = self.index.entry(key) else {
             return false;
-        }
-        let slot = self.alloc(Node {
+        };
+        let node = Node {
             key,
+            val,
             prev: self.tail,
             next: NIL,
-        });
-        if self.tail != NIL {
-            self.nodes[self.tail].next = slot;
-        } else {
-            self.head = slot;
-        }
-        self.tail = slot;
-        self.index.insert(key, slot);
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot] = node;
+                slot
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        };
+        entry.insert(slot);
+        self.link_back(slot);
         true
     }
 
@@ -105,53 +133,61 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
         (self.tail != NIL).then(|| self.nodes[self.tail].key)
     }
 
-    /// Removes `key`. Returns `true` if it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        let Some(slot) = self.index.remove(key) else {
-            return false;
-        };
-        self.unlink(slot);
-        self.free.push(slot);
-        true
+    /// The value of `key`, if present.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let slot = *self.index.get(key)?;
+        Some(&mut self.nodes[slot].val)
     }
 
-    /// Moves `key` to the back (newest). Returns `false` if absent.
-    pub fn move_to_back(&mut self, key: &K) -> bool {
-        let Some(&slot) = self.index.get(key) else {
-            return false;
-        };
-        if slot == self.tail {
-            return true;
-        }
+    /// Removes `key` and returns its value, or `None` if it was absent.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let slot = self.index.remove(key)?;
         self.unlink(slot);
-        let node = &mut self.nodes[slot];
-        node.prev = self.tail;
-        node.next = NIL;
+        self.free.push(slot);
+        Some(self.nodes[slot].val)
+    }
+
+    /// Moves `key` to the back (newest) and returns its value, or `None`
+    /// if it is absent. One index lookup does both.
+    pub fn move_to_back(&mut self, key: &K) -> Option<&mut V> {
+        let slot = *self.index.get(key)?;
+        if slot != self.tail {
+            self.unlink(slot);
+            self.nodes[slot].prev = self.tail;
+            self.nodes[slot].next = NIL;
+            self.link_back(slot);
+        }
+        Some(&mut self.nodes[slot].val)
+    }
+
+    /// Iterates keys from front (oldest) to back (newest).
+    pub fn iter(&self) -> impl Iterator<Item = &K> + '_ {
+        self.walk().map(|node| &node.key)
+    }
+
+    /// Iterates `(key, value)` pairs from front (oldest) to back (newest).
+    pub fn entries(&self) -> impl Iterator<Item = (K, &V)> + '_ {
+        self.walk().map(|node| (node.key, &node.val))
+    }
+
+    fn walk(&self) -> impl Iterator<Item = &Node<K, V>> + '_ {
+        let mut cursor = self.head;
+        std::iter::from_fn(move || {
+            // `NIL` is out of the slab's range, so the walk ends there.
+            let node = self.nodes.get(cursor)?;
+            cursor = node.next;
+            Some(node)
+        })
+    }
+
+    /// Makes `slot`, whose `prev` already points at the old tail, the tail.
+    fn link_back(&mut self, slot: usize) {
         if self.tail != NIL {
             self.nodes[self.tail].next = slot;
         } else {
             self.head = slot;
         }
         self.tail = slot;
-        true
-    }
-
-    /// Iterates keys from front (oldest) to back (newest).
-    pub fn iter(&self) -> Iter<'_, K> {
-        Iter {
-            order: self,
-            cursor: self.head,
-        }
-    }
-
-    fn alloc(&mut self, node: Node<K>) -> usize {
-        if let Some(slot) = self.free.pop() {
-            self.nodes[slot] = node;
-            slot
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
     }
 
     fn unlink(&mut self, slot: usize) {
@@ -169,30 +205,11 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
     }
 }
 
-/// Front-to-back iterator over a [`LinkedOrder`].
-pub(crate) struct Iter<'a, K: Eq + Hash + Copy> {
-    order: &'a LinkedOrder<K>,
-    cursor: usize,
-}
-
-impl<'a, K: Eq + Hash + Copy> Iterator for Iter<'a, K> {
-    type Item = &'a K;
-
-    fn next(&mut self) -> Option<&'a K> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let node = &self.order.nodes[self.cursor];
-        self.cursor = node.next;
-        Some(&node.key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn keys(order: &LinkedOrder<u32>) -> Vec<u32> {
+    fn keys<V: Copy>(order: &LinkedOrder<u32, V>) -> Vec<u32> {
         order.iter().copied().collect()
     }
 
@@ -235,12 +252,12 @@ mod tests {
         for k in [1u32, 2, 3] {
             o.push_back(k);
         }
-        assert!(o.move_to_back(&1));
+        assert!(o.move_to_back(&1).is_some());
         assert_eq!(keys(&o), vec![2, 3, 1]);
         // Moving the tail is a no-op but succeeds.
-        assert!(o.move_to_back(&1));
+        assert!(o.move_to_back(&1).is_some());
         assert_eq!(keys(&o), vec![2, 3, 1]);
-        assert!(!o.move_to_back(&99));
+        assert!(o.move_to_back(&99).is_none());
     }
 
     #[test]
@@ -249,13 +266,13 @@ mod tests {
         for k in [1u32, 2, 3, 4] {
             o.push_back(k);
         }
-        assert!(o.remove(&2));
+        assert!(o.remove(&2).is_some());
         assert_eq!(keys(&o), vec![1, 3, 4]);
-        assert!(o.remove(&1));
+        assert!(o.remove(&1).is_some());
         assert_eq!(keys(&o), vec![3, 4]);
-        assert!(o.remove(&4));
+        assert!(o.remove(&4).is_some());
         assert_eq!(keys(&o), vec![3]);
-        assert!(!o.remove(&4));
+        assert!(o.remove(&4).is_none());
     }
 
     #[test]
@@ -277,9 +294,11 @@ mod tests {
     #[test]
     fn stress_against_vec_model() {
         // Deterministic pseudo-random op sequence validated against a
-        // Vec-based reference model.
-        let mut o = LinkedOrder::new();
-        let mut model: Vec<u32> = Vec::new();
+        // Vec-based reference model of keys and their values. Every push
+        // carries a fresh value, so a recycled slot that still exposed the
+        // freed key's value would differ from the model.
+        let mut o: LinkedOrder<u32, u64> = LinkedOrder::new();
+        let mut model: Vec<(u32, u64)> = Vec::new();
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -287,37 +306,54 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..10_000 {
+        for step in 0..10_000u64 {
             let k = (rng() % 50) as u32;
-            match rng() % 4 {
+            let pos = model.iter().position(|&(x, _)| x == k);
+            match rng() % 5 {
                 0 => {
-                    if o.push_back(k) {
-                        model.push(k);
+                    let pushed = o.push_back_with(k, step);
+                    assert_eq!(pushed, pos.is_none());
+                    if pushed {
+                        model.push((k, step));
                     }
                 }
                 1 => {
-                    let removed = o.remove(&k);
-                    let pos = model.iter().position(|&x| x == k);
-                    assert_eq!(removed, pos.is_some());
-                    if let Some(p) = pos {
-                        model.remove(p);
-                    }
+                    assert_eq!(o.remove(&k), pos.map(|p| model.remove(p).1));
                 }
                 2 => {
-                    let moved = o.move_to_back(&k);
-                    let pos = model.iter().position(|&x| x == k);
-                    assert_eq!(moved, pos.is_some());
-                    if let Some(p) = pos {
-                        let v = model.remove(p);
-                        model.push(v);
-                    }
+                    let moved = o.move_to_back(&k).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    let expected = pos.map(|p| {
+                        let (x, v) = model.remove(p);
+                        model.push((x, v + 1));
+                        v + 1
+                    });
+                    assert_eq!(moved, expected);
+                }
+                3 => {
+                    let got = o.get_mut(&k).map(|v| {
+                        *v ^= step;
+                        *v
+                    });
+                    let expected = pos.map(|p| {
+                        model[p].1 ^= step;
+                        model[p].1
+                    });
+                    assert_eq!(got, expected);
                 }
                 _ => {
-                    assert_eq!(o.pop_front(), (!model.is_empty()).then(|| model.remove(0)));
+                    assert_eq!(
+                        o.pop_front(),
+                        (!model.is_empty()).then(|| model.remove(0).0)
+                    );
                 }
             }
             assert_eq!(o.len(), model.len());
+            let entries: Vec<(u32, u64)> = o.entries().map(|(k, &v)| (k, v)).collect();
+            assert_eq!(entries, model);
         }
-        assert_eq!(keys(&o), model);
+        assert_eq!(keys(&o), model.iter().map(|&(k, _)| k).collect::<Vec<_>>());
     }
 }

@@ -298,7 +298,7 @@ impl ArenaPolicy {
     /// mixer weights, and re-elect the leader.
     fn observe(&mut self, page: &Page, ctx: AccessContext, now: u64) {
         self.accesses += 1;
-        if !self.recent.move_to_back(&page.id) {
+        if self.recent.move_to_back(&page.id).is_none() {
             self.recent.push_back(page.id);
         }
         while self.recent.len() > self.capacity {

@@ -1,10 +1,11 @@
 //! The adaptable spatial buffer (Section 4.2 of the paper) — the paper's
 //! headline contribution.
 
+use super::spatial::smallest_crit;
 use crate::order::LinkedOrder;
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId, PageIdMap};
+use asb_storage::{AccessContext, Page, PageId};
 use serde::{Deserialize, Serialize};
 
 /// Tuning parameters of the [`AsbPolicy`].
@@ -37,6 +38,7 @@ impl Default for AsbParams {
     }
 }
 
+/// What ASB knows about a page it tracks, kept in the page's order node.
 #[derive(Debug, Clone, Copy)]
 struct PageInfo {
     crit: f64,
@@ -73,10 +75,9 @@ pub struct AsbPolicy {
     candidate: usize,
     step: usize,
     /// LRU order of the main part (front = least recently used).
-    main: LinkedOrder<PageId>,
+    main: LinkedOrder<PageId, PageInfo>,
     /// FIFO order of the overflow buffer (front = first in, next victim).
-    overflow: LinkedOrder<PageId>,
-    info: PageIdMap<PageInfo>,
+    overflow: LinkedOrder<PageId, PageInfo>,
 }
 
 impl AsbPolicy {
@@ -114,7 +115,6 @@ impl AsbPolicy {
             step,
             main: LinkedOrder::new(),
             overflow: LinkedOrder::new(),
-            info: PageIdMap::default(),
         }
     }
 
@@ -142,32 +142,21 @@ impl AsbPolicy {
     /// part into the overflow buffer. Called whenever the main part exceeds
     /// its capacity.
     fn demote(&mut self) {
-        let mut victim: Option<(PageId, f64)> = None;
-        for (seen, &id) in self.main.iter().enumerate() {
-            if seen >= self.candidate {
-                break;
-            }
-            let c = self.info[&id].crit;
-            if victim.is_none_or(|(_, best)| c < best) {
-                victim = Some((id, c));
-            }
-        }
-        if let Some((id, _)) = victim {
-            self.main.remove(&id);
-            self.overflow.push_back(id);
+        let candidates = self.main.entries().take(self.candidate);
+        let Some(id) = smallest_crit(candidates.map(|(id, info)| (id, info.crit))) else {
+            return;
+        };
+        if let Some(info) = self.main.remove(&id) {
+            self.overflow.push_back_with(id, info);
         }
     }
 
-    /// Applies the self-tuning rule for a hit on overflow page `p`.
-    fn adapt(&mut self, p: PageId) {
-        let me = self.info[&p];
+    /// Applies the self-tuning rule for a hit on an overflow page with the
+    /// recorded state `me`, already taken out of the overflow buffer.
+    fn adapt(&mut self, me: PageInfo) {
         let mut better_spatial = 0usize;
         let mut better_lru = 0usize;
-        for &id in self.overflow.iter() {
-            if id == p {
-                continue;
-            }
-            let other = self.info[&id];
+        for (_, other) in self.overflow.entries() {
             if other.crit > me.crit {
                 better_spatial += 1;
             }
@@ -187,14 +176,16 @@ impl AsbPolicy {
 
 impl PolicyEvents for AsbPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, now: u64) {
-        self.info.insert(
-            page.id,
-            PageInfo {
-                crit: page.meta.stats.criterion(self.params.criterion),
-                last_access: now,
-            },
+        debug_assert!(
+            !self.main.contains(&page.id) && !self.overflow.contains(&page.id),
+            "ASB: {:?} inserted while already tracked",
+            page.id
         );
-        self.main.push_back(page.id);
+        let info = PageInfo {
+            crit: page.meta.stats.criterion(self.params.criterion),
+            last_access: now,
+        };
+        self.main.push_back_with(page.id, info);
         if self.main.len() > self.main_cap {
             self.demote();
         }
@@ -202,22 +193,16 @@ impl PolicyEvents for AsbPolicy {
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, now: u64) {
         let id = page.id;
-        if self.main.contains(&id) {
-            self.main.move_to_back(&id);
-            if let Some(info) = self.info.get_mut(&id) {
-                info.last_access = now;
-            }
+        if let Some(info) = self.main.move_to_back(&id) {
+            info.last_access = now;
             return;
         }
-        if self.overflow.contains(&id) {
+        if let Some(mut info) = self.overflow.remove(&id) {
             // Self-tuning happens *before* the promotion, while p's recorded
             // recency still reflects its history in the overflow buffer.
-            self.adapt(id);
-            self.overflow.remove(&id);
-            self.main.push_back(id);
-            if let Some(info) = self.info.get_mut(&id) {
-                info.last_access = now;
-            }
+            self.adapt(info);
+            info.last_access = now;
+            self.main.push_back_with(id, info);
             if self.main.len() > self.main_cap {
                 self.demote();
             }
@@ -225,14 +210,18 @@ impl PolicyEvents for AsbPolicy {
     }
 
     fn on_update(&mut self, page: &Page) {
-        if let Some(info) = self.info.get_mut(&page.id) {
+        let id = page.id;
+        if let Some(info) = self
+            .main
+            .get_mut(&id)
+            .or_else(|| self.overflow.get_mut(&id))
+        {
             info.crit = page.meta.stats.criterion(self.params.criterion);
         }
     }
 
     fn on_remove(&mut self, id: PageId) {
-        self.info.remove(&id);
-        if !self.overflow.remove(&id) {
+        if self.overflow.remove(&id).is_none() {
             self.main.remove(&id);
         }
     }
@@ -251,22 +240,12 @@ impl VictimRanker for AsbPolicy {
         // Degenerate case (overflow empty or fully pinned, e.g. a tiny
         // buffer before warm-up finished): fall back to the SLRU rule on
         // the main part.
-        let mut seen = 0usize;
-        let mut victim: Option<(PageId, f64)> = None;
-        for &id in self.main.iter() {
-            if !evictable(id) {
-                continue;
-            }
-            seen += 1;
-            let c = self.info[&id].crit;
-            if victim.is_none_or(|(_, best)| c < best) {
-                victim = Some((id, c));
-            }
-            if seen >= self.candidate {
-                break;
-            }
-        }
-        victim.map(|(id, _)| id)
+        let candidates = self
+            .main
+            .entries()
+            .filter(|&(id, _)| evictable(id))
+            .take(self.candidate);
+        smallest_crit(candidates.map(|(id, info)| (id, info.crit)))
     }
 }
 
@@ -370,9 +349,14 @@ mod tests {
     /// Plants a page directly in the overflow buffer with the given
     /// criterion value and last-access tick.
     fn plant_overflow(p: &mut AsbPolicy, raw: u64, crit: f64, last_access: u64) {
-        p.info
-            .insert(PageId::new(raw), PageInfo { crit, last_access });
-        p.overflow.push_back(PageId::new(raw));
+        p.overflow
+            .push_back_with(PageId::new(raw), PageInfo { crit, last_access });
+    }
+
+    /// Runs the self-tuning rule for a hit on planted overflow page `raw`.
+    fn adapt_on(p: &mut AsbPolicy, raw: u64) {
+        let me = p.overflow.remove(&PageId::new(raw)).unwrap();
+        p.adapt(me);
     }
 
     #[test]
@@ -386,7 +370,7 @@ mod tests {
         plant_overflow(&mut p, 3, 6.0, 2);
         plant_overflow(&mut p, 4, 7.0, 3);
         let before = p.candidate_size().unwrap();
-        p.adapt(PageId::new(1));
+        adapt_on(&mut p, 1);
         assert_eq!(p.candidate_size().unwrap(), before - p.step);
     }
 
@@ -400,7 +384,7 @@ mod tests {
         plant_overflow(&mut p, 3, 2.0, 6);
         plant_overflow(&mut p, 4, 3.0, 7);
         let before = p.candidate_size().unwrap();
-        p.adapt(PageId::new(1));
+        adapt_on(&mut p, 1);
         assert_eq!(p.candidate_size().unwrap(), before + p.step);
     }
 
@@ -413,7 +397,7 @@ mod tests {
         plant_overflow(&mut p, 2, 9.0, 1); // better spatial only
         plant_overflow(&mut p, 3, 1.0, 9); // better LRU only
         let before = p.candidate_size().unwrap();
-        p.adapt(PageId::new(1));
+        adapt_on(&mut p, 1);
         assert_eq!(p.candidate_size().unwrap(), before);
     }
 
@@ -490,7 +474,7 @@ mod tests {
         let in_overflow = p.overflow.front().unwrap();
         p.on_remove(in_overflow);
         assert_eq!(p.overflow_len(), 0);
-        assert!(!p.info.contains_key(&in_overflow));
+        assert!(!p.main.contains(&in_overflow));
         p.on_remove(PageId::new(3));
         assert!(!p.main.contains(&PageId::new(3)));
     }

@@ -97,8 +97,8 @@ impl ReplacementPolicy for FifoPolicy {
 /// reference bit per page.
 #[derive(Debug, Default)]
 pub struct ClockPolicy {
-    order: LinkedOrder<PageId>,
-    referenced: PageIdMap<bool>,
+    /// The clock, front = hand, with each page's reference bit.
+    order: LinkedOrder<PageId, bool>,
 }
 
 impl ClockPolicy {
@@ -110,12 +110,16 @@ impl ClockPolicy {
 
 impl PolicyEvents for ClockPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        self.order.push_back(page.id);
-        self.referenced.insert(page.id, false);
+        debug_assert!(
+            !self.order.contains(&page.id),
+            "{:?} inserted twice",
+            page.id
+        );
+        self.order.push_back_with(page.id, false);
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        if let Some(bit) = self.referenced.get_mut(&page.id) {
+        if let Some(bit) = self.order.get_mut(&page.id) {
             *bit = true;
         }
     }
@@ -124,7 +128,6 @@ impl PolicyEvents for ClockPolicy {
 
     fn on_remove(&mut self, id: PageId) {
         self.order.remove(&id);
-        self.referenced.remove(&id);
     }
 }
 
@@ -138,19 +141,15 @@ impl VictimRanker for ClockPolicy {
         // must find a victim (the manager guarantees one evictable page).
         let limit = self.order.len() * 2 + 1;
         for _ in 0..limit {
-            let hand = self.order.front()?;
-            if !evictable(hand) {
-                self.order.move_to_back(&hand);
-                continue;
-            }
-            // invariant: `referenced` and `order` are updated together in
-            // on_admit/on_remove, so every page in the clock order has a bit.
-            let bit = (self.referenced.get_mut(&hand)).expect("tracked page has a ref bit");
-            if *bit {
-                *bit = false;
-                self.order.move_to_back(&hand);
-            } else {
+            let (hand, &referenced) = self.order.entries().next()?;
+            let pinned = !evictable(hand);
+            if !pinned && !referenced {
                 return Some(hand);
+            }
+            // A pinned page is passed over with its bit kept; a referenced
+            // one loses its bit (its second chance).
+            if let Some(bit) = self.order.move_to_back(&hand) {
+                *bit = referenced && pinned;
             }
         }
         None

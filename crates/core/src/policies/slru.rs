@@ -1,9 +1,10 @@
 //! Static combination of LRU and spatial replacement (Section 4.1).
 
+use super::spatial::smallest_crit;
 use crate::order::LinkedOrder;
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId, PageIdMap};
+use asb_storage::{AccessContext, Page, PageId};
 
 /// **SLRU**: "1.) compute a set of candidates by using LRU and 2.) select
 /// the page to be dropped out of the buffer from the candidate set by using
@@ -18,8 +19,8 @@ use asb_storage::{AccessContext, Page, PageId, PageIdMap};
 pub struct SlruPolicy {
     criterion: SpatialCriterion,
     candidate_count: usize,
-    crit: PageIdMap<f64>,
-    order: LinkedOrder<PageId>,
+    /// LRU order with each page's criterion.
+    order: LinkedOrder<PageId, f64>,
     label: String,
 }
 
@@ -38,7 +39,6 @@ impl SlruPolicy {
         SlruPolicy {
             criterion,
             candidate_count,
-            crit: PageIdMap::default(),
             order: LinkedOrder::new(),
             label: format!("SLRU {:.0}%", candidate_fraction * 100.0),
         }
@@ -52,9 +52,13 @@ impl SlruPolicy {
 
 impl PolicyEvents for SlruPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        self.crit
-            .insert(page.id, page.meta.stats.criterion(self.criterion));
-        self.order.push_back(page.id);
+        debug_assert!(
+            !self.order.contains(&page.id),
+            "{:?} inserted twice",
+            page.id
+        );
+        self.order
+            .push_back_with(page.id, page.meta.stats.criterion(self.criterion));
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
@@ -62,14 +66,12 @@ impl PolicyEvents for SlruPolicy {
     }
 
     fn on_update(&mut self, page: &Page) {
-        if self.crit.contains_key(&page.id) {
-            self.crit
-                .insert(page.id, page.meta.stats.criterion(self.criterion));
+        if let Some(crit) = self.order.get_mut(&page.id) {
+            *crit = page.meta.stats.criterion(self.criterion);
         }
     }
 
     fn on_remove(&mut self, id: PageId) {
-        self.crit.remove(&id);
         self.order.remove(&id);
     }
 }
@@ -83,22 +85,12 @@ impl VictimRanker for SlruPolicy {
         // Walk from the LRU end, gathering up to `candidate_count`
         // evictable candidates; pick the smallest criterion among them
         // (first-found wins ties, i.e. LRU tie-break).
-        let mut seen = 0usize;
-        let mut victim: Option<(PageId, f64)> = None;
-        for &id in self.order.iter() {
-            if !evictable(id) {
-                continue;
-            }
-            seen += 1;
-            let c = self.crit[&id];
-            if victim.is_none_or(|(_, best)| c < best) {
-                victim = Some((id, c));
-            }
-            if seen >= self.candidate_count {
-                break;
-            }
-        }
-        victim.map(|(id, _)| id)
+        let candidates = self
+            .order
+            .entries()
+            .filter(|&(id, _)| evictable(id))
+            .take(self.candidate_count);
+        smallest_crit(candidates.map(|(id, &c)| (id, c)))
     }
 }
 

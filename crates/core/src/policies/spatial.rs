@@ -3,7 +3,20 @@
 use crate::order::LinkedOrder;
 use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId, PageIdMap};
+use asb_storage::{AccessContext, Page, PageId};
+
+/// The page with the smallest criterion among `candidates`, in the order
+/// given. The strict `<` keeps the first page found on ties, which is the
+/// LRU tie-break when the candidates run from the LRU end.
+pub(crate) fn smallest_crit(mut candidates: impl Iterator<Item = (PageId, f64)>) -> Option<PageId> {
+    let (mut victim, mut best) = candidates.next()?;
+    for (id, c) in candidates {
+        if c < best {
+            (victim, best) = (id, c);
+        }
+    }
+    Some(victim)
+}
 
 /// Spatial page replacement: evict the page with the **smallest**
 /// `spatialCrit(p)` for the chosen criterion (A, EA, M, EM or EO); the LRU
@@ -14,10 +27,10 @@ use asb_storage::{AccessContext, Page, PageId, PageIdMap};
 #[derive(Debug)]
 pub struct SpatialPolicy {
     criterion: SpatialCriterion,
-    crit: PageIdMap<f64>,
-    /// LRU order; iterating from the front visits least-recently-used pages
-    /// first, which makes "first minimum found" the LRU tie-break.
-    order: LinkedOrder<PageId>,
+    /// LRU order with each page's criterion; iterating from the front visits
+    /// least-recently-used pages first, which makes "first minimum found"
+    /// the LRU tie-break.
+    order: LinkedOrder<PageId, f64>,
 }
 
 impl SpatialPolicy {
@@ -25,7 +38,6 @@ impl SpatialPolicy {
     pub fn new(criterion: SpatialCriterion) -> Self {
         SpatialPolicy {
             criterion,
-            crit: PageIdMap::default(),
             order: LinkedOrder::new(),
         }
     }
@@ -38,9 +50,13 @@ impl SpatialPolicy {
 
 impl PolicyEvents for SpatialPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        self.crit
-            .insert(page.id, page.meta.stats.criterion(self.criterion));
-        self.order.push_back(page.id);
+        debug_assert!(
+            !self.order.contains(&page.id),
+            "{:?} inserted twice",
+            page.id
+        );
+        self.order
+            .push_back_with(page.id, page.meta.stats.criterion(self.criterion));
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
@@ -48,14 +64,12 @@ impl PolicyEvents for SpatialPolicy {
     }
 
     fn on_update(&mut self, page: &Page) {
-        if self.crit.contains_key(&page.id) {
-            self.crit
-                .insert(page.id, page.meta.stats.criterion(self.criterion));
+        if let Some(crit) = self.order.get_mut(&page.id) {
+            *crit = page.meta.stats.criterion(self.criterion);
         }
     }
 
     fn on_remove(&mut self, id: PageId) {
-        self.crit.remove(&id);
         self.order.remove(&id);
     }
 }
@@ -66,19 +80,10 @@ impl VictimRanker for SpatialPolicy {
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId> {
-        let mut victim: Option<(PageId, f64)> = None;
-        for &id in self.order.iter() {
-            if !evictable(id) {
-                continue;
-            }
-            let c = self.crit[&id];
-            // Strict '<' keeps the earliest (least recently used) page on
-            // ties — the paper's LRU tie-break.
-            if victim.is_none_or(|(_, best)| c < best) {
-                victim = Some((id, c));
-            }
-        }
-        victim.map(|(id, _)| id)
+        // Ties go to the earliest (least recently used) page — the paper's
+        // LRU tie-break.
+        let candidates = self.order.entries().filter(|&(id, _)| evictable(id));
+        smallest_crit(candidates.map(|(id, &c)| (id, c)))
     }
 }
 

@@ -51,7 +51,7 @@ impl TwoQPolicy {
 
 impl PolicyEvents for TwoQPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        if self.a1out.remove(&page.id) {
+        if self.a1out.remove(&page.id).is_some() {
             // Remembered ghost: the page proved re-use, protect it.
             self.am.push_back(page.id);
         } else {
@@ -70,7 +70,7 @@ impl PolicyEvents for TwoQPolicy {
     fn on_update(&mut self, _page: &Page) {}
 
     fn on_remove(&mut self, id: PageId) {
-        if self.a1in.remove(&id) {
+        if self.a1in.remove(&id).is_some() {
             // Leaving probation: remember the ghost.
             self.a1out.push_back(id);
             while self.a1out.len() > self.kout {

@@ -1,7 +1,10 @@
 //! Cross-policy laws: classic results from the caching literature that the
 //! implementation must respect.
 
-use asb::buffer::{ArenaParams, AsbParams, BufferManager, PolicyKind, Roster, SpatialCriterion};
+use asb::buffer::{
+    ArenaParams, AsbParams, AsbPolicy, BufferManager, PolicyKind, Roster, SlruPolicy,
+    SpatialCriterion, SpatialPolicy,
+};
 use asb::geom::{Rect, SpatialStats};
 use asb::storage::{AccessContext, DiskManager, PageId, PageMeta, PageStore, QueryId};
 use bytes::Bytes;
@@ -383,5 +386,283 @@ proptest! {
             retained <= bound,
             "retained history {retained} exceeds bound {bound}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reference model of spatial victim choice: pure spatial (§2.3), SLRU (§4.1)
+// and ASB (§4.2), written straight from the paper's rules over plain vectors
+// and compared step by step with the policies driven through their events.
+// ---------------------------------------------------------------------------
+
+/// A page as the model tracks it.
+#[derive(Debug, Clone, Copy)]
+struct ModelPage {
+    id: PageId,
+    crit: f64,
+    last_access: u64,
+}
+
+/// Smallest criterion among the first `limit` evictable pages of `order`
+/// (front = least recently used). The strict `<` keeps the first page found,
+/// so ties go to the least recently used page.
+fn model_pick(
+    order: &[ModelPage],
+    limit: usize,
+    evictable: &dyn Fn(PageId) -> bool,
+) -> Option<PageId> {
+    let mut best: Option<ModelPage> = None;
+    for page in order.iter().filter(|p| evictable(p.id)).take(limit) {
+        if best.is_none_or(|b| page.crit < b.crit) {
+            best = Some(*page);
+        }
+    }
+    best.map(|p| p.id)
+}
+
+/// `main` holds every page of the spatial and SLRU policies in LRU order,
+/// and ASB's main part; `overflow` is ASB's FIFO overflow buffer.
+struct RefModel {
+    /// Candidate-set size; `usize::MAX` for the pure spatial policy.
+    candidate: usize,
+    /// ASB only: main capacity, overflow capacity and adaptation step.
+    asb: Option<(usize, usize, usize)>,
+    main: Vec<ModelPage>,
+    overflow: Vec<ModelPage>,
+}
+
+impl RefModel {
+    fn spatial() -> Self {
+        RefModel {
+            candidate: usize::MAX,
+            asb: None,
+            main: Vec::new(),
+            overflow: Vec::new(),
+        }
+    }
+
+    fn slru(capacity: usize, fraction: f64) -> Self {
+        let candidate = ((capacity as f64 * fraction).round() as usize).max(1);
+        RefModel {
+            candidate,
+            ..RefModel::spatial()
+        }
+    }
+
+    fn asb(capacity: usize) -> Self {
+        let (main_cap, overflow_cap, step) = asb_bounds(capacity);
+        let candidate = ((main_cap as f64 * 0.25).round() as usize).clamp(1, main_cap);
+        RefModel {
+            candidate,
+            asb: Some((main_cap, overflow_cap, step)),
+            ..RefModel::spatial()
+        }
+    }
+
+    fn insert(&mut self, page: ModelPage) {
+        self.main.push(page);
+        self.demote_if_overfull();
+    }
+
+    /// ASB: an overfull main part moves the smallest page of its candidate
+    /// set (every page counts, pinned or not) into the overflow buffer.
+    fn demote_if_overfull(&mut self) {
+        let Some((main_cap, _, _)) = self.asb else {
+            return;
+        };
+        if self.main.len() > main_cap {
+            let id = model_pick(&self.main, self.candidate, &|_| true).expect("non-empty main");
+            let pos = self.main.iter().position(|p| p.id == id).unwrap();
+            let page = self.main.remove(pos);
+            self.overflow.push(page);
+        }
+    }
+
+    fn hit(&mut self, id: PageId, now: u64) {
+        if let Some(pos) = self.main.iter().position(|p| p.id == id) {
+            let mut page = self.main.remove(pos);
+            page.last_access = now;
+            self.main.push(page);
+        } else if let Some(pos) = self.overflow.iter().position(|p| p.id == id) {
+            // Self-tuning on the page's recorded history, then promotion.
+            let me = self.overflow[pos];
+            let others = self.overflow.iter().filter(|p| p.id != id);
+            let better_spatial = others.clone().filter(|p| p.crit > me.crit).count();
+            let better_lru = others.filter(|p| p.last_access > me.last_access).count();
+            let (main_cap, _, step) = self.asb.expect("only ASB has an overflow buffer");
+            if better_spatial > better_lru {
+                self.candidate = self.candidate.saturating_sub(step).max(1);
+            } else if better_spatial < better_lru {
+                self.candidate = (self.candidate + step).min(main_cap);
+            }
+            let mut page = self.overflow.remove(pos);
+            page.last_access = now;
+            self.main.push(page);
+            self.demote_if_overfull();
+        }
+    }
+
+    fn update(&mut self, id: PageId, crit: f64) {
+        for page in self.main.iter_mut().chain(self.overflow.iter_mut()) {
+            if page.id == id {
+                page.crit = crit;
+            }
+        }
+    }
+
+    fn remove(&mut self, id: PageId) {
+        self.main.retain(|p| p.id != id);
+        self.overflow.retain(|p| p.id != id);
+    }
+
+    fn victim(&self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+        // ASB evicts FIFO from the overflow buffer, falling back to the SLRU
+        // rule on the main part when no overflow page is evictable.
+        self.overflow
+            .iter()
+            .map(|p| p.id)
+            .find(|&id| evictable(id))
+            .or_else(|| model_pick(&self.main, self.candidate, evictable))
+    }
+
+    fn len(&self) -> usize {
+        self.main.len() + self.overflow.len()
+    }
+
+    fn tracks(&self, id: PageId) -> bool {
+        self.main.iter().chain(&self.overflow).any(|p| p.id == id)
+    }
+
+    fn candidate_size(&self) -> Option<usize> {
+        (self.candidate != usize::MAX).then_some(self.candidate)
+    }
+
+    fn overflow_state(&self) -> Option<(Vec<PageId>, usize)> {
+        let (_, overflow_cap, _) = self.asb?;
+        Some((self.overflow.iter().map(|p| p.id).collect(), overflow_cap))
+    }
+}
+
+/// A page whose MBR is a `w` × `h` box: small sides make criterion ties common.
+fn boxed_page(raw: u64, w: u8, h: u8) -> asb::storage::Page {
+    let r = Rect::new(0.0, 0.0, f64::from(w) + 1.0, f64::from(h) + 1.0);
+    let meta = PageMeta::data(SpatialStats::from_rects(&[r]));
+    asb::storage::Page::new(PageId::new(raw), meta, Bytes::new()).expect("page")
+}
+
+/// The evictable mask of one step: everything, sparse pins, dense pins or
+/// nothing at all.
+fn step_mask(kind: u8, bits: u64) -> impl Fn(PageId) -> bool {
+    let pinned = match kind {
+        0 => 0,
+        1 => bits & (bits >> 7) & (bits >> 13),
+        2 => bits,
+        _ => u64::MAX,
+    };
+    move |id: PageId| (pinned >> (id.raw() % 64)) & 1 == 0
+}
+
+/// One driver step: operation (0-2 access, 3 update, 4 remove, 5 only
+/// compare), page id, MBR sides, mask kind and mask bits.
+type Step = (u8, u64, (u8, u8), u8, u64);
+
+/// Runs `ops` through `policy` and `model` like a buffer of `capacity`
+/// frames would (insert only untracked pages, evict first when full, hit
+/// only tracked pages) and compares victim, candidate size and overflow
+/// state after every step.
+fn compare_with_model(
+    policy: &mut dyn asb::buffer::ReplacementPolicy,
+    model: &mut RefModel,
+    capacity: usize,
+    ops: &[Step],
+) -> Result<(), TestCaseError> {
+    let ctx = AccessContext::default();
+    for (now, &(op, raw, (w, h), mask_kind, bits)) in ops.iter().enumerate() {
+        let now = now as u64 + 1;
+        let id = PageId::new(raw);
+        let evictable = step_mask(mask_kind, bits);
+        let page = boxed_page(raw, w, h);
+        let crit = page.meta.stats.criterion(SpatialCriterion::Area);
+        match op {
+            0..=2 if model.tracks(id) => {
+                policy.on_hit(&page, ctx, now);
+                model.hit(id, now);
+            }
+            0..=2 => {
+                if model.len() == capacity {
+                    let victim = policy.select_victim(ctx, &evictable);
+                    prop_assert_eq!(
+                        victim,
+                        model.victim(&evictable),
+                        "eviction victim, step {}",
+                        now
+                    );
+                    let Some(victim) = victim else { continue };
+                    policy.on_remove(victim);
+                    model.remove(victim);
+                }
+                policy.on_insert(&page, ctx, now);
+                model.insert(ModelPage {
+                    id,
+                    crit,
+                    last_access: now,
+                });
+            }
+            3 => {
+                policy.on_update(&page);
+                model.update(id, crit);
+            }
+            4 => {
+                policy.on_remove(id);
+                model.remove(id);
+            }
+            _ => {}
+        }
+        prop_assert_eq!(
+            policy.select_victim(ctx, &evictable),
+            model.victim(&evictable),
+            "victim after step {} ({:?})",
+            now,
+            policy.name()
+        );
+        prop_assert_eq!(
+            policy.candidate_size(),
+            model.candidate_size(),
+            "candidate size"
+        );
+        prop_assert_eq!(
+            policy.overflow_state(),
+            model.overflow_state(),
+            "overflow state"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// ASB, SLRU and pure spatial replacement make exactly the reference
+    /// model's choices under random inserts, hits, criterion updates,
+    /// removals and pin masks, from one-frame buffers (no overflow buffer)
+    /// up to 63 frames.
+    #[test]
+    fn spatial_policies_match_the_reference_model(
+        ops in prop::collection::vec(
+            (0u8..6, 0u64..96, (0u8..3, 0u8..3), prop_oneof![4 => Just(0u8), 2 => Just(1u8), 1 => 2u8..4], 0u64..u64::MAX),
+            1..400,
+        ),
+        capacity in 1usize..64,
+        slru_fraction in 0usize..3,
+    ) {
+        let fraction = [0.25, 0.5, 1.0][slru_fraction];
+        let pairs: [(Box<dyn asb::buffer::ReplacementPolicy>, RefModel); 3] = [
+            (Box::new(AsbPolicy::new(capacity, AsbParams::default())), RefModel::asb(capacity)),
+            (Box::new(SlruPolicy::new(capacity, fraction, SpatialCriterion::Area)), RefModel::slru(capacity, fraction)),
+            (Box::new(SpatialPolicy::new(SpatialCriterion::Area)), RefModel::spatial()),
+        ];
+        for (mut policy, mut model) in pairs {
+            compare_with_model(policy.as_mut(), &mut model, capacity, &ops)?;
+        }
     }
 }
